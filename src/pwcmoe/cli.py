@@ -88,10 +88,7 @@ def run(argv) -> int:
 
 
 def main():
-    try:
-        sys.exit(run(sys.argv[1:]))
-    except SystemExit:
-        raise
+    sys.exit(run(sys.argv[1:]))
 
 
 if __name__ == "__main__":

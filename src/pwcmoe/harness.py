@@ -3,12 +3,13 @@ emulation, budget / distance / target-accuracy sweeps, and CSV metrics.
 
 Every stochastic choice derives from the experiment seed through labeled
 RngStreams, so a (config, seed) pair fully determines every output byte.
+Each sweep stage scores every test example with the predictor once.
 """
 
 from __future__ import annotations
 
 import os
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Optional
 
 import numpy as np
@@ -168,12 +169,14 @@ def collaborative_forward(model: MoEModel, seq, decision) -> np.ndarray:
 
 # -- strategy evaluation ---------------------------------------------------
 
-def topk_provider(model: MoEModel, predictor: ImportancePredictor, budget: int):
-    def provider(i, seq):
-        emb = model.embedding.data[np.asarray(seq.ids)]
-        scores = predictor.scores_np(emb)
-        return scheduler.select_topk(scores, seq.mask, budget)
-    return provider
+def topk_curve(model: MoEModel, predictor: ImportancePredictor, data, budgets) -> dict:
+    """Top-k accuracy per budget. Each example is scored once and its scores
+    serve every budget."""
+    scores = [predictor.scores_np(model.embedding.data[np.asarray(seq.ids)])
+              for seq, _ in data]
+    return {k: evaluate(model, data,
+                        lambda i, seq, k=k: scheduler.select_topk(scores[i], seq.mask, k))
+            for k in budgets}
 
 
 def random_provider(budget: int, rng: RngStream):
@@ -185,7 +188,7 @@ def random_provider(budget: int, rng: RngStream):
 def accuracy_at_budget(model, predictor, data, budget: int, strategy: str,
                        rng: Optional[RngStream] = None) -> float:
     if strategy == "topk":
-        return evaluate(model, data, topk_provider(model, predictor, budget))
+        return topk_curve(model, predictor, data, [budget])[budget]
     if strategy == "random":
         if rng is None:
             raise ValueError("random strategy needs an rng")
@@ -260,10 +263,8 @@ def run_budget_sweep(spec: ExperimentSpec, out_dir: str, model=None,
         bundle = prepare_data(spec)
     model, predictor = _load_artifacts(spec, out_dir, model, predictor)
     budgets = [int(k) for k in spec.sweep.budgets]
-    rows = []
-    for k in budgets:
-        acc = accuracy_at_budget(model, predictor, bundle.test, k, "topk")
-        rows.append((k, "topk", 1, acc, 0.0))
+    topk = topk_curve(model, predictor, bundle.test, budgets)
+    rows = [(k, "topk", 1, topk[k], 0.0) for k in budgets]
     rmeans, rstds = _random_curve(model, bundle.test, budgets, spec.sweep.trials,
                                   spec.seed, "sweep-budget/random")
     for k in budgets:
@@ -283,7 +284,7 @@ def _max_nonsensitive(data) -> int:
 def _strategy_curve(model, predictor, data, k_max, trials, seed, label):
     """Accuracy per budget k = 0..k_max for both strategies."""
     ks = list(range(0, k_max + 1))
-    topk = {k: accuracy_at_budget(model, predictor, data, k, "topk") for k in ks}
+    topk = topk_curve(model, predictor, data, ks)
     rmeans, _ = _random_curve(model, data, ks, trials, seed, label)
     return ks, topk, rmeans
 
@@ -304,21 +305,20 @@ def run_distance_sweep(spec: ExperimentSpec, out_dir: str, model=None,
         bundle = prepare_data(spec)
     model, predictor = _load_artifacts(spec, out_dir, model, predictor)
     max_ns = _max_nonsensitive(bundle.test)
-    rows = []
+    base = spec.channel.params(spec.model.d)
+    m_uls = []
     for di, dist in enumerate(spec.sweep.distances):
-        cspec = spec.channel
-        params = ch.ChannelParams(
-            f_c_ghz=cspec.f_c_ghz, d_c_m=float(dist), bandwidth_hz=cspec.bandwidth_hz,
-            tx_power_dbm=cspec.tx_power_dbm, noise_psd_dbm_hz=cspec.noise_psd_dbm_hz,
-            shadowing_std_db=cspec.shadowing_std_db, t_ul_s=cspec.t_ul_s,
-            bits_per_token=cspec.bits_per_token or spec.model.d * cspec.bits_per_value,
-        )
+        params = replace(base, d_c_m=float(dist))
         rng = RngStream(spec.seed, f"sweep-distance/channel/d{di}")
-        m_ul = int(np.median(ch.budget_samples(params, rng, spec.sweep.channel_draws)))
-        k_max = min(m_ul, max_ns)
-        ks, topk, rmeans = _strategy_curve(
-            model, predictor, bundle.test, k_max, spec.sweep.trials,
-            spec.seed, f"sweep-distance/random/d{di}")
+        m_uls.append(int(np.median(ch.budget_samples(params, rng, spec.sweep.channel_draws))))
+    k_maxes = [min(m_ul, max_ns) for m_ul in m_uls]
+    # one top-k curve up to the largest budget; each distance reads its prefix
+    topk = topk_curve(model, predictor, bundle.test, range(max(k_maxes, default=0) + 1))
+    rows = []
+    for di, (dist, m_ul, k_max) in enumerate(zip(spec.sweep.distances, m_uls, k_maxes)):
+        ks = list(range(0, k_max + 1))
+        rmeans, _ = _random_curve(model, bundle.test, ks, spec.sweep.trials,
+                                  spec.seed, f"sweep-distance/random/d{di}")
         for strategy, curve in (("topk", topk), ("random", rmeans)):
             k_req, peak = _min_tokens_to_peak(ks, curve)
             rows.append((float(dist), m_ul, strategy, k_req, peak))

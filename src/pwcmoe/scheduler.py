@@ -40,6 +40,12 @@ def _nonsensitive(mask: Sequence[int]) -> list:
     return [i for i, m in enumerate(mask) if m == 0]
 
 
+def _decision(ns: list, chosen, budget: int, strategy: str) -> OffloadDecision:
+    kept = set(chosen)
+    return OffloadDecision(selected=chosen, dropped=[i for i in ns if i not in kept],
+                           budget=budget, strategy=strategy)
+
+
 def select_all(mask: Sequence[int]) -> OffloadDecision:
     ns = _nonsensitive(mask)
     return OffloadDecision(selected=ns, dropped=[], budget=len(ns), strategy="all")
@@ -54,13 +60,7 @@ def select_topk(scores, mask: Sequence[int], budget: int) -> OffloadDecision:
     k = min(budget, len(ns))
     # sort by (-score, index): stable deterministic ranking
     ranked = sorted(ns, key=lambda i: (-scores[i], i))
-    chosen = ranked[:k]
-    return OffloadDecision(
-        selected=chosen,
-        dropped=[i for i in ns if i not in set(chosen)],
-        budget=budget,
-        strategy="topk",
-    )
+    return _decision(ns, ranked[:k], budget, "topk")
 
 
 def select_random(mask: Sequence[int], budget: int, rng: RngStream) -> OffloadDecision:
@@ -70,12 +70,7 @@ def select_random(mask: Sequence[int], budget: int, rng: RngStream) -> OffloadDe
     ns = _nonsensitive(mask)
     k = min(budget, len(ns))
     chosen = sorted(int(i) for i in rng.choice(ns, size=k, replace=False)) if k else []
-    return OffloadDecision(
-        selected=chosen,
-        dropped=[i for i in ns if i not in set(chosen)],
-        budget=budget,
-        strategy="random",
-    )
+    return _decision(ns, chosen, budget, "random")
 
 
 def brute_force_oracle(
@@ -104,10 +99,4 @@ def brute_force_oracle(
             if conf > best_conf:
                 best_conf = conf
                 best_subset = subset
-    decision = OffloadDecision(
-        selected=list(best_subset),
-        dropped=[i for i in ns if i not in set(best_subset)],
-        budget=budget,
-        strategy="oracle",
-    )
-    return decision, best_conf
+    return _decision(ns, best_subset, budget, "oracle"), best_conf

@@ -1,9 +1,11 @@
+import dataclasses
 import os
 
 import numpy as np
 import pytest
 
-from pwcmoe import cli, config, harness, moe, scheduler
+from pwcmoe import channel, cli, config, harness, moe, scheduler
+from pwcmoe.predictor import ImportancePredictor
 from pwcmoe.rng import RngStream
 
 
@@ -186,6 +188,70 @@ class TestRuns:
         assert any(l.startswith("path_loss_db = 100.004") for l in lines)
         assert real.m_ul == real.m_ul  # realized budget is reported
         assert any(l == f"m_ul = {real.m_ul}" for l in lines)
+
+
+def multi_distance_spec():
+    """tiny_spec with distances whose median budgets (66,277, 5, 2 and 0
+    tokens against at most 9 non-sensitive ones) cut the top-k curve at
+    different lengths."""
+    spec = tiny_spec()
+    spec.sweep.distances = [100.0, 8000.0, 12000.0, 100000.0]
+    return spec
+
+
+class TestTopkCurve:
+    def test_matches_rescoring_at_every_budget(self, trained):
+        _, _, bundle, model, predictor = trained
+        budgets = [0, 1, 2, 4, 9]
+        curve = harness.topk_curve(model, predictor, bundle.test, budgets)
+        assert list(curve) == budgets
+        for k in budgets:
+            def rescoring(i, seq):
+                emb = model.embedding.data[np.asarray(seq.ids)]
+                return scheduler.select_topk(predictor.scores_np(emb), seq.mask, k)
+            assert curve[k] == moe.evaluate(model, bundle.test, rescoring)
+
+    @pytest.mark.parametrize("run", [harness.run_budget_sweep,
+                                     harness.run_target_accuracy,
+                                     harness.run_distance_sweep])
+    def test_sweep_scores_each_example_once(self, trained, tmp_path, monkeypatch, run):
+        _, _, bundle, model, predictor = trained
+        calls = []
+        scores_np = ImportancePredictor.scores_np
+
+        def counting(self, embeddings):
+            calls.append(1)
+            return scores_np(self, embeddings)
+
+        monkeypatch.setattr(ImportancePredictor, "scores_np", counting)
+        run(multi_distance_spec(), str(tmp_path), model=model, predictor=predictor,
+            bundle=bundle)
+        assert len(calls) == len(bundle.test)
+
+    def test_distance_rows_match_a_curve_per_distance(self, trained, tmp_path):
+        _, _, bundle, model, predictor = trained
+        spec = multi_distance_spec()
+        rows = harness.run_distance_sweep(spec, str(tmp_path), model=model,
+                                          predictor=predictor, bundle=bundle)
+        max_ns = max(len(seq.nonsensitive_indices()) for seq, _ in bundle.test)
+        expected, k_maxes = [], []
+        for di, dist in enumerate(spec.sweep.distances):
+            params = dataclasses.replace(spec.channel.params(spec.model.d), d_c_m=dist)
+            rng = RngStream(spec.seed, f"sweep-distance/channel/d{di}")
+            m_ul = int(np.median(channel.budget_samples(params, rng,
+                                                        spec.sweep.channel_draws)))
+            ks = list(range(min(m_ul, max_ns) + 1))
+            k_maxes.append(ks[-1])
+            topk = {k: harness.accuracy_at_budget(model, predictor, bundle.test, k, "topk")
+                    for k in ks}
+            rmeans, _ = harness._random_curve(model, bundle.test, ks, spec.sweep.trials,
+                                              spec.seed, f"sweep-distance/random/d{di}")
+            for strategy, curve in (("topk", topk), ("random", rmeans)):
+                peak = max(curve.values())
+                k_req = next(k for k in ks if curve[k] >= peak - 1e-12)
+                expected.append((dist, m_ul, strategy, k_req, peak))
+        assert len(set(k_maxes)) == len(k_maxes)  # each distance cuts elsewhere
+        assert rows == expected
 
 
 class TestCli:
