@@ -91,11 +91,22 @@ def rate_bps(snr, bandwidth_hz: float):
     return bandwidth_hz * np.log2(1.0 + snr)
 
 
-def token_budget(rate: float, t_ul_s: float, bits_per_tok: int) -> int:
-    """Whole tokens transmittable in one uplink window (fraction floored)."""
+def token_budget(rate, t_ul_s: float, bits_per_tok: int):
+    """Whole tokens transmittable in one uplink window (fraction floored):
+    an int for a scalar rate, an int64 array for an array of rates."""
     if t_ul_s <= 0 or bits_per_tok <= 0:
         raise ValueError("uplink time and bits per token must be positive")
-    return int(math.floor(t_ul_s * rate / bits_per_tok))
+    m = np.floor(t_ul_s * np.asarray(rate) / bits_per_tok).astype(np.int64)
+    return int(m) if m.ndim == 0 else m
+
+
+def uplink_chain(params: ChannelParams, pl_db: float, psi, chi) -> tuple:
+    """Gain -> SNR -> rate -> token budget, for scalar or array draws of
+    shadowing and fading. Returns (h_ul, snr, rate_bps, m_ul)."""
+    h = channel_gain(pl_db, psi, chi)
+    s = snr_linear(h, params)
+    r = rate_bps(s, params.bandwidth_hz)
+    return h, s, r, token_budget(r, params.t_ul_s, params.bits_per_token)
 
 
 def draw_realization(
@@ -110,12 +121,9 @@ def draw_realization(
     else:
         psi = float(sample_shadowing(rng, params.shadowing_std_db))
         chi = float(sample_fading(rng))
-    h = float(channel_gain(pl, psi, chi))
-    s = float(snr_linear(h, params))
-    r = float(rate_bps(s, params.bandwidth_hz))
-    m = token_budget(r, params.t_ul_s, params.bits_per_token)
-    return ChannelRealization(pl_db=pl, psi=psi, chi=chi, h_ul=h, snr=s,
-                              rate_bps=r, m_ul=m)
+    h, s, r, m = uplink_chain(params, pl, psi, chi)
+    return ChannelRealization(pl_db=pl, psi=psi, chi=chi, h_ul=float(h),
+                              snr=float(s), rate_bps=float(r), m_ul=m)
 
 
 def budget_samples(params: ChannelParams, rng: RngStream, n: int) -> np.ndarray:
@@ -123,7 +131,4 @@ def budget_samples(params: ChannelParams, rng: RngStream, n: int) -> np.ndarray:
     pl = path_loss_db(params.f_c_ghz, params.d_c_m)
     psi = sample_shadowing(rng, params.shadowing_std_db, size=n)
     chi = sample_fading(rng, size=n)
-    h = channel_gain(pl, psi, chi)
-    s = snr_linear(h, params)
-    r = rate_bps(s, params.bandwidth_hz)
-    return np.floor(params.t_ul_s * r / params.bits_per_token).astype(np.int64)
+    return uplink_chain(params, pl, psi, chi)[3]

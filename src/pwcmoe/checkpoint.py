@@ -9,8 +9,11 @@ Layout:
 from __future__ import annotations
 
 import struct
+from dataclasses import asdict, fields
 
 import numpy as np
+
+from .rng import RngStream
 
 FORMAT_VERSION = 1
 MAGIC_MODEL = b"PWCM"
@@ -72,6 +75,30 @@ def load_container(path: str, magic: bytes):
             buf = fh.read(4 * count)
             arrays[name] = np.frombuffer(buf, dtype="<f4").reshape(dims).astype(np.float64)
         return config, arrays
+
+
+_CASTS = {"int": int, "float": float, "bool": lambda s: s == "True"}
+
+
+def save_params(path: str, magic: bytes, model):
+    """Write a model's dataclass config and its named parameters, in
+    `model.parameters()` order."""
+    save_container(path, magic, asdict(model.config),
+                   {k: p.data for k, p in model.parameters().items()})
+
+
+def load_params(path: str, magic: bytes, model_cls, config_cls):
+    """Rebuild a model written by `save_params`: the config is cast field by
+    field from the dataclass field types, then every parameter is loaded."""
+    cfg_raw, arrays = load_container(path, magic)
+    config = config_cls(**{f.name: _CASTS[str(f.type)](cfg_raw[f.name])
+                           for f in fields(config_cls)})
+    model = model_cls(config, RngStream(0, "load"))
+    for k, p in model.parameters().items():
+        if k not in arrays:
+            raise KeyError(f"{path}: missing parameter array {k!r}")
+        p.data = np.asarray(arrays[k], dtype=np.float64).reshape(p.data.shape)
+    return model
 
 
 def save_embeddings(path: str, matrix) -> None:

@@ -18,11 +18,11 @@ from . import channel as ch
 from . import corpus, scheduler
 from . import tensor as T
 from .checkpoint import FORMAT_VERSION, load_embeddings
-from .config import ExperimentSpec, config_hash, spec_to_text
-from .moe import (MoEConfig, MoEModel, TrainTrace, active_set, aggregate,
-                  evaluate, train_model)
+from .config import ExperimentSpec, config_hash
+from .moe import (MoEConfig, MoEModel, active_set, evaluate, load_model,
+                  save_model, train_model)
 from .predictor import (ImportancePredictor, PredictorConfig, collect_dataset,
-                        train_predictor)
+                        load_predictor, save_predictor, train_predictor)
 from .rng import RngStream
 
 
@@ -40,13 +40,21 @@ def write_csv(path: str, header: list, rows: list):
 
 
 def write_manifest(out_dir: str, spec: ExperimentSpec, artifacts: list):
+    """Write the run manifest. Artifacts listed by earlier stages in the same
+    directory are kept, each once, in the order first written."""
     path = os.path.join(out_dir, "run-manifest.txt")
+    prefix = "artifact = "
+    if os.path.exists(path):
+        with open(path, encoding="utf-8") as fh:
+            earlier = [line[len(prefix):].rstrip("\n") for line in fh
+                       if line.startswith(prefix)]
+        artifacts = list(dict.fromkeys(earlier + list(artifacts)))
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write(f"config_sha256 = {config_hash(spec)}\n")
         fh.write(f"seed = {spec.seed}\n")
         fh.write(f"checkpoint_format_version = {FORMAT_VERSION}\n")
         for a in artifacts:
-            fh.write(f"artifact = {a}\n")
+            fh.write(f"{prefix}{a}\n")
 
 
 def write_gnuplot_stub(out_dir: str, csv_name: str, xlabel: str, ylabel: str):
@@ -130,41 +138,23 @@ def predictor_config(spec: ExperimentSpec) -> PredictorConfig:
 # -- collaborative inference ----------------------------------------------
 
 def collaborative_forward(model: MoEModel, seq, decision) -> np.ndarray:
-    """Emulate the client / base-station split for one example.
+    """Class probabilities for one example under an offload decision.
 
-    Sensitive tokens run through privacy experts on the "client" side,
-    selected non-sensitive tokens through non-privacy experts on the "base
-    station" side; outputs are merged and aggregated over the active set.
-    The split is an emulation boundary only: results are numerically
-    identical to the monolithic forward on the same active set.
+    The client / base-station split is an emulation boundary over the one MoE
+    forward: its privacy-isolated gate sends the sensitive tokens (processed
+    on the client) only to privacy experts and the selected non-sensitive
+    tokens (uplinked to the base station) only to the other experts, and
+    pooling runs over exactly those tokens. A decision that selects a
+    sensitive or out-of-range token is rejected, and an empty active set
+    raises ValueError.
     """
-    sens = seq.sensitive_indices()
     for i in decision.selected:
         if not (0 <= i < seq.length):
             raise IndexError(f"decision index {i} out of range for length {seq.length}")
         if seq.mask[i] == 1:
             raise ValueError(f"decision selects sensitive token {i}")
     with T.no_grad():
-        h = model.embed(seq)
-        from .moe import apply_privacy_isolation, gate_logits, gumbel_softmax, hard_select
-        g = gate_logits(h, model.w_g, model.b_g)
-        g_prime = apply_privacy_isolation(g, seq.mask, model.config.num_privacy_experts)
-        gamma = np.zeros((seq.length, model.config.num_experts))
-        z = gumbel_softmax(g_prime, model.config.tau, gamma)
-        routed, assign = hard_select(z, g_prime, gamma)
-        # client side: privacy experts; base-station side: non-privacy experts
-        local = model.route_hard(h, routed, assign, rows=sens)
-        remote = model.route_hard(h, routed, assign, rows=decision.selected)
-        h_prime = local + remote
-        active = active_set(seq, decision)
-        if active.size == 0:
-            raise ValueError("no tokens to aggregate")
-        alpha, pooled = aggregate(h_prime, model.agg_w, active)
-        if model.config.use_layernorm:
-            pooled = T.layer_norm(pooled, model.ln_gain, model.ln_bias)
-        logits = (T.matmul(pooled, model.w_o) + model.b_o).data.reshape(-1)
-    e = np.exp(logits - logits.max())
-    return e / e.sum()
+        return model.forward(seq, active=active_set(seq, decision)).probs()
 
 
 # -- strategy evaluation ---------------------------------------------------
@@ -215,7 +205,6 @@ def run_train(spec: ExperimentSpec, out_dir: str, log=print):
     bundle = prepare_data(spec)
     model = build_model(spec, bundle)
     trace = train_model(model, bundle.train, bundle.test, spec.seed, log=log)
-    from .moe import save_model
     ckpt = os.path.join(out_dir, spec.model.checkpoint)
     save_model(model, ckpt)
     csv_path = os.path.join(out_dir, "train_metrics.csv")
@@ -230,11 +219,9 @@ def run_train_predictor(spec: ExperimentSpec, out_dir: str, model=None, bundle=N
     if bundle is None:
         bundle = prepare_data(spec)
     if model is None:
-        from .moe import load_model
         model = load_model(os.path.join(out_dir, spec.model.checkpoint))
     records = collect_dataset(model, bundle.train)
     predictor, trace = train_predictor(records, predictor_config(spec), spec.seed, log=log)
-    from .predictor import save_predictor
     save_predictor(predictor, os.path.join(out_dir, spec.predictor.checkpoint))
     csv_path = os.path.join(out_dir, "predictor_metrics.csv")
     write_csv(csv_path, ["epoch", "mean_kl"],
@@ -247,7 +234,6 @@ def run_eval(spec: ExperimentSpec, out_dir: str, model=None, bundle=None):
     if bundle is None:
         bundle = prepare_data(spec)
     if model is None:
-        from .moe import load_model
         model = load_model(os.path.join(out_dir, spec.model.checkpoint))
     acc = evaluate(model, bundle.test)
     write_csv(os.path.join(out_dir, "eval_metrics.csv"),
@@ -378,9 +364,7 @@ def run_channel_probe(spec: ExperimentSpec, out=print):
 
 def _load_artifacts(spec, out_dir, model, predictor):
     if model is None:
-        from .moe import load_model
         model = load_model(os.path.join(out_dir, spec.model.checkpoint))
     if predictor is None:
-        from .predictor import load_predictor
         predictor = load_predictor(os.path.join(out_dir, spec.predictor.checkpoint))
     return model, predictor

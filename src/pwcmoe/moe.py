@@ -17,6 +17,7 @@ from typing import Callable, Optional
 import numpy as np
 
 from . import tensor as T
+from .checkpoint import MAGIC_MODEL, load_params, save_params
 from .corpus import TokenSequence
 from .rng import RngStream
 from .tensor import Tensor
@@ -95,65 +96,54 @@ def hard_select(z: Tensor, g_prime: Tensor, gamma: np.ndarray):
     return T.straight_through(z, one_hot), assign
 
 
-def load_balance_loss(z: Tensor, mask, k_p: int):
-    """Group-wise load-balancing: squared deviation of mean expert usage
-    from uniform, computed separately over sensitive and non-sensitive
-    tokens. Empty groups contribute zero."""
-    mask = np.asarray(mask, dtype=int)
-    K = z.shape[1]
-    k_np = K - k_p
-
-    def group_term(rows: np.ndarray, start: int, width: int):
-        if rows.size == 0:
-            return Tensor(0.0)
-        zg = T.narrow(T.gather_rows(z, rows), 1, start, width)
-        usage = T.tsum(zg, axis=0) * (1.0 / rows.size)
-        dev = usage - (1.0 / width)
-        return T.tsum(dev * dev)
-
-    l_p = group_term(np.flatnonzero(mask == 1), 0, k_p)
-    l_np = group_term(np.flatnonzero(mask == 0), k_p, k_np)
-    return l_p, l_np, l_p + l_np
-
-
 def total_loss(task: Tensor, lb: Tensor, lambda_lb: float) -> Tensor:
     return task + lb * lambda_lb
 
 
-def aggregate(h_prime: Tensor, w: Tensor, active) -> tuple:
-    """Softmax-weighted pooling over the active token set.
+def aggregate(rows: Tensor, w: Tensor, seg, n_segments: int) -> tuple:
+    """Softmax-weighted pooling of token rows within each segment (example).
 
-    Returns (alpha over active tokens, pooled (1, d) representation).
+    `rows` holds only the tokens to pool and `seg` the segment of each row, so
+    a token that is not pooled never enters the softmax. Returns (alpha
+    (n, 1), pooled (n_segments, d)).
     """
-    active = np.asarray(active, dtype=np.intp)
-    if active.size == 0:
+    seg = np.asarray(seg, dtype=np.intp)
+    if np.bincount(seg, minlength=n_segments).min() == 0:
         raise ValueError("no tokens to aggregate")
-    rows = T.gather_rows(h_prime, active)
     scores = T.matmul(rows, w)  # (n, 1)
-    alpha = T.softmax(scores, axis=0)
-    pooled = T.matmul(T.transpose(alpha), rows)
-    return alpha, pooled
+    # per-segment max as a gradient-free shift
+    shift = np.full(n_segments, -np.inf)
+    np.maximum.at(shift, seg, scores.data.reshape(-1))
+    e = T.exp(scores - shift[seg].reshape(-1, 1))
+    sel = np.zeros((n_segments, seg.size))
+    sel[seg, np.arange(seg.size)] = 1.0
+    sel = Tensor(sel)
+    alpha = e * T.reciprocal(T.gather_rows(T.matmul(sel, e), seg))
+    return alpha, T.matmul(sel, alpha * rows)
 
 
 @dataclass
 class ForwardResult:
-    logits: Tensor          # (1, C)
-    alpha: Tensor           # (n_active, 1)
-    active: np.ndarray
-    z: Tensor               # (L, K) soft routing probabilities
-    routed: Tensor          # (L, K) straight-through one-hot (or z in soft mode)
+    logits: Tensor          # (B, C)
+    alpha: Tensor           # (n_active, 1) pooling weights of the active tokens
+    active: np.ndarray      # active token positions in the concatenated batch
+    z: Tensor               # (N, K) soft routing probabilities
+    routed: Tensor          # (N, K) straight-through one-hot (or z in soft mode)
     assign: np.ndarray      # selected expert per token
-    h: Tensor               # (L, d) embeddings
-    h_prime: Tensor         # (L, d) expert outputs
+    h: Tensor               # (N, d) embeddings
+    h_prime: Tensor         # (N, d) expert outputs, zero on inactive tokens
+    mask: np.ndarray        # (N,) privacy mask
+    seg: np.ndarray         # (N,) example index of each token
 
     def probs(self) -> np.ndarray:
+        """Class probabilities of a single-example result."""
         x = self.logits.data.reshape(-1)
         e = np.exp(x - x.max())
         return e / e.sum()
 
 
-class MoEModel:
-    """Parameter container plus the full forward pass."""
+class MoEModel(T.Module):
+    """Parameter container plus the forward pass."""
 
     def __init__(self, config: MoEConfig, rng: RngStream):
         self.config = config
@@ -177,11 +167,6 @@ class MoEModel:
         self.w_o = self._p(r, (d, c.num_classes), 1.0 / math.sqrt(d))
         self.b_o = self._p(r, (c.num_classes,), 0.0)
 
-    @staticmethod
-    def _p(rng: RngStream, shape, scale: float) -> Tensor:
-        data = rng.normal(0.0, 1.0, shape) * scale if scale else np.zeros(shape)
-        return Tensor(data, requires_grad=True)
-
     def parameters(self) -> dict:
         params = {
             "embedding": self.embedding,
@@ -195,14 +180,7 @@ class MoEModel:
                 params[f"expert{j}.{k}"] = v
         return params
 
-    def zero_grad(self):
-        for p in self.parameters().values():
-            p.zero_grad()
-
     # -- forward ----------------------------------------------------------
-
-    def embed(self, seq: TokenSequence) -> Tensor:
-        return T.gather_rows(self.embedding, seq.ids)
 
     def expert_apply(self, j: int, x: Tensor) -> Tensor:
         e = self.experts[j]
@@ -241,26 +219,30 @@ class MoEModel:
             h_prime = piece if h_prime is None else h_prime + piece
         return h_prime
 
-    def forward(
-        self,
-        seq: TokenSequence,
-        rng: Optional[RngStream] = None,
-        active=None,
-        mode: str = "eval",
-    ) -> ForwardResult:
-        """Full pass. Modes: 'train' (Gumbel noise + hard straight-through),
-        'eval' (noise-free, hard argmax), 'soft' (noise-free dense soft
-        routing; fully differentiable)."""
+    def forward_batch(self, batch, rng: Optional[RngStream] = None,
+                      mode: str = "eval", actives=None) -> ForwardResult:
+        """The one MoE forward. Concatenates a list of (seq, label) pairs
+        into one token matrix, so that expert dispatch and pooling run as a
+        few large numpy ops.
+
+        Modes: 'train' (Gumbel noise + hard straight-through), 'eval'
+        (noise-free, hard argmax), 'soft' (noise-free dense soft routing;
+        fully differentiable). `actives[e]` lists the tokens of example e
+        that are processed and pooled (default: all of them); an example
+        with none raises ValueError.
+        """
         c = self.config
-        h = self.embed(seq)
+        ids, mask, seg, active = _concat_batch(batch, actives)
+        n_tok = ids.shape[0]
+        h = T.gather_rows(self.embedding, ids)
         g = gate_logits(h, self.w_g, self.b_g)
-        g_prime = apply_privacy_isolation(g, seq.mask, c.num_privacy_experts)
+        g_prime = apply_privacy_isolation(g, mask, c.num_privacy_experts)
         if mode == "train":
             if rng is None:
                 raise ValueError("train mode needs an RngStream for Gumbel noise")
-            gamma = rng.gumbel((seq.length, c.num_experts))
+            gamma = rng.gumbel((n_tok, c.num_experts))
         else:
-            gamma = np.zeros((seq.length, c.num_experts))
+            gamma = np.zeros((n_tok, c.num_experts))
         z = gumbel_softmax(g_prime, c.tau, gamma)
         if mode == "soft":
             routed = z
@@ -270,31 +252,35 @@ class MoEModel:
             routed, assign = hard_select(z, g_prime, gamma)
             h_prime = self.route_hard(h, routed, assign, rows=active)
 
-        if active is None:
-            active = np.arange(seq.length)
-        alpha, pooled = aggregate(h_prime, self.agg_w, active)
+        # training pools every token: skip the gather and its scatter-add backward
+        rows = h_prime if active.size == n_tok else T.gather_rows(h_prime, active)
+        alpha, pooled = aggregate(rows, self.agg_w, seg[active], len(batch))
         if c.use_layernorm:
             pooled = T.layer_norm(pooled, self.ln_gain, self.ln_bias)
         logits = T.matmul(pooled, self.w_o) + self.b_o
-        return ForwardResult(logits=logits, alpha=alpha, active=np.asarray(active),
-                             z=z, routed=routed, assign=assign, h=h, h_prime=h_prime)
+        return ForwardResult(logits=logits, alpha=alpha, active=active, z=z,
+                             routed=routed, assign=assign, h=h, h_prime=h_prime,
+                             mask=mask, seg=seg)
+
+    def forward(self, seq: TokenSequence, rng: Optional[RngStream] = None,
+                active=None, mode: str = "eval") -> ForwardResult:
+        """`forward_batch` on one sequence, pooled over `active` (default:
+        every token)."""
+        return self.forward_batch([(seq, None)], rng=rng, mode=mode,
+                                  actives=None if active is None else [active])
 
     def example_loss(self, seq: TokenSequence, label: int,
                      rng: Optional[RngStream] = None, mode: str = "train"):
         res = self.forward(seq, rng=rng, mode=mode)
-        task = T.cross_entropy(res.logits, label)
-        _, _, lb = load_balance_loss(res.z, seq.mask, self.config.num_privacy_experts)
+        task = T.tmean(T.cross_entropy_batch(res.logits, [label]))
+        lb = batch_load_balance(res.z, res.mask, res.seg, 1,
+                                self.config.num_privacy_experts)
         return total_loss(task, lb, self.config.lambda_lb), res
 
 
-# -- batched fast path -----------------------------------------------------
-#
-# Training and bulk evaluation concatenate all sequences of a batch into one
-# token matrix so that expert dispatch and aggregation run as a few large
-# numpy ops. The math is identical to the per-sequence forward; only the
-# grouping of BLAS calls differs.
-
 def _concat_batch(batch, actives=None):
+    """Token ids, privacy mask and example index of every token of the batch,
+    plus the positions of the active tokens."""
     ids, mask, seg = [], [], []
     active_flags = []
     for e, (seq, _) in enumerate(batch):
@@ -305,54 +291,22 @@ def _concat_batch(batch, actives=None):
         flags[np.arange(seq.length) if actives is None else actives[e]] = True
         active_flags.append(flags)
     return (np.asarray(ids), np.asarray(mask), np.asarray(seg),
-            np.concatenate(active_flags))
+            np.flatnonzero(np.concatenate(active_flags)))
 
 
 def batch_forward(model: MoEModel, batch, rng=None, mode: str = "eval",
                   actives=None):
-    """Forward a list of (seq, label) pairs jointly.
-
-    Returns (logits (B, C), z (N_tok, K), mask array, seg ids). Each
-    example's aggregation runs over its active tokens; callers must drop
-    examples whose active set is empty before batching.
-    """
-    c = model.config
-    ids, mask, seg, active = _concat_batch(batch, actives)
-    n_tok = ids.shape[0]
-    h = T.gather_rows(model.embedding, ids)
-    g = gate_logits(h, model.w_g, model.b_g)
-    g_prime = apply_privacy_isolation(g, mask, c.num_privacy_experts)
-    if mode == "train":
-        gamma = rng.gumbel((n_tok, c.num_experts))
-    else:
-        gamma = np.zeros((n_tok, c.num_experts))
-    z = gumbel_softmax(g_prime, c.tau, gamma)
-    routed, assign = hard_select(z, g_prime, gamma)
-    h_prime = model.route_hard(h, routed, assign, rows=np.flatnonzero(active))
-
-    B = len(batch)
-    scores = T.matmul(h_prime, model.agg_w)  # (N, 1)
-    # per-segment max over active tokens, as a gradient-free shift
-    shift = np.full(B, -np.inf)
-    np.maximum.at(shift, seg[active], scores.data.reshape(-1)[active])
-    e = T.exp(scores - shift[seg].reshape(-1, 1))
-    sel = np.zeros((B, n_tok))
-    sel[seg[active], np.flatnonzero(active)] = 1.0
-    denom = T.matmul(Tensor(sel), e)  # (B, 1)
-    alpha = e * T.reciprocal(T.gather_rows(denom, seg))
-    segmat = np.zeros((B, n_tok))
-    segmat[seg, np.arange(n_tok)] = 1.0
-    # inactive rows of h_prime are zero, so they add nothing to the pool
-    pooled = T.matmul(Tensor(segmat), alpha * h_prime)
-    if c.use_layernorm:
-        pooled = T.layer_norm(pooled, model.ln_gain, model.ln_bias)
-    logits = T.matmul(pooled, model.w_o) + model.b_o
-    return logits, z, mask, seg
+    """`MoEModel.forward_batch` as (logits (B, C), z (N_tok, K), mask array,
+    seg ids)."""
+    res = model.forward_batch(batch, rng=rng, mode=mode, actives=actives)
+    return res.logits, res.z, res.mask, res.seg
 
 
 def batch_load_balance(z: Tensor, mask: np.ndarray, seg: np.ndarray,
                        n_examples: int, k_p: int) -> Tensor:
-    """Mean over examples of the group-wise load-balancing loss."""
+    """Mean over examples of the group-wise load-balancing loss: the squared
+    deviation of mean expert usage from uniform, computed separately over each
+    example's sensitive and non-sensitive tokens. Empty groups contribute zero."""
     K = z.shape[1]
     k_np = K - k_p
 
@@ -379,10 +333,6 @@ class TrainTrace:
     mean_loss: list = field(default_factory=list)
 
 
-class DivergenceError(RuntimeError):
-    pass
-
-
 def active_set(seq: TokenSequence, decision) -> np.ndarray:
     """Tokens processed at inference: all sensitive plus the selected
     non-sensitive ones."""
@@ -394,30 +344,23 @@ def active_set(seq: TokenSequence, decision) -> np.ndarray:
 
 def evaluate(model: MoEModel, data, decision_provider: Optional[Callable] = None) -> float:
     """Accuracy under optional per-example offload decisions. Examples whose
-    active set comes out empty count as incorrect."""
-    correct = 0
-    chunk = 256
-    with T.no_grad():
-        pending, acts, labels = [], [], []
-        for i, (seq, label) in enumerate(data):
-            decision = decision_provider(i, seq) if decision_provider else None
-            act = active_set(seq, decision)
-            if act.size == 0:
-                continue  # counts as incorrect
+    active set comes out empty count as incorrect; the rest are scored in
+    batches of up to 256."""
+    pending, acts = [], []
+    for i, (seq, label) in enumerate(data):
+        act = active_set(seq, decision_provider(i, seq) if decision_provider else None)
+        if act.size:
             pending.append((seq, label))
             acts.append(act)
-            labels.append(label)
-            if len(pending) == chunk:
-                correct += _count_correct(model, pending, acts, labels)
-                pending, acts, labels = [], [], []
-        if pending:
-            correct += _count_correct(model, pending, acts, labels)
+    correct = 0
+    with T.no_grad():
+        for s in range(0, len(pending), 256):
+            batch = pending[s:s + 256]
+            logits, _, _, _ = batch_forward(model, batch, mode="eval",
+                                            actives=acts[s:s + 256])
+            labels = np.asarray([label for _, label in batch])
+            correct += int(np.sum(logits.data.argmax(axis=1) == labels))
     return correct / len(data)
-
-
-def _count_correct(model, batch, acts, labels) -> int:
-    logits, _, _, _ = batch_forward(model, batch, mode="eval", actives=acts)
-    return int(np.sum(logits.data.argmax(axis=1) == np.asarray(labels)))
 
 
 def train_model(
@@ -452,7 +395,7 @@ def train_model(
                                     c.num_privacy_experts)
             batch_loss = total_loss(task, lb, c.lambda_lb)
             if not np.isfinite(batch_loss.item()):
-                raise DivergenceError(f"loss diverged (NaN/Inf) at round {epoch + 1}")
+                raise T.DivergenceError(f"loss diverged (NaN/Inf) at round {epoch + 1}")
             T.backward(batch_loss)
             losses.append(batch_loss.item())
             for k, p in params.items():
@@ -470,40 +413,11 @@ def train_model(
 
 
 def save_model(model: MoEModel, path: str):
-    from dataclasses import asdict
-
-    from .checkpoint import MAGIC_MODEL, save_container
-
-    save_container(path, MAGIC_MODEL, asdict(model.config),
-                   {k: p.data for k, p in model.parameters().items()})
+    save_params(path, MAGIC_MODEL, model)
 
 
 def load_model(path: str) -> MoEModel:
-    import dataclasses
-
-    from .checkpoint import MAGIC_MODEL, load_container
-
-    cfg_raw, arrays = load_container(path, MAGIC_MODEL)
-    casts = {"int": int, "float": float, "bool": lambda s: s == "True"}
-    kwargs = {f.name: casts[str(f.type)](cfg_raw[f.name])
-              for f in dataclasses.fields(MoEConfig)}
-    model = MoEModel(MoEConfig(**kwargs), RngStream(0, "load"))
-    for k, p in model.parameters().items():
-        if k not in arrays:
-            raise KeyError(f"{path}: missing parameter array {k!r}")
-        p.data = np.asarray(arrays[k], dtype=np.float64).reshape(p.data.shape)
-    return model
-
-
-def expert_usage(model: MoEModel, data) -> np.ndarray:
-    """Fraction of tokens hard-routed to each expert (noise-free)."""
-    counts = np.zeros(model.config.num_experts)
-    with T.no_grad():
-        for seq, _ in data:
-            res = model.forward(seq, mode="eval")
-            for j in res.assign:
-                counts[j] += 1
-    return counts / max(counts.sum(), 1)
+    return load_params(path, MAGIC_MODEL, MoEModel, MoEConfig)
 
 
 def soft_expert_usage(model: MoEModel, data) -> np.ndarray:

@@ -13,11 +13,11 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Optional
 
 import numpy as np
 
 from . import tensor as T
+from .checkpoint import MAGIC_PREDICTOR, load_params, save_params
 from .rng import RngStream
 from .tensor import Tensor
 
@@ -57,7 +57,7 @@ class ImportanceRecord:
             raise ValueError("target is not a distribution")
 
 
-class ImportancePredictor:
+class ImportancePredictor(T.Module):
     def __init__(self, config: PredictorConfig, rng: RngStream):
         self.config = config
         r = rng.spawn("predictor-init")
@@ -85,11 +85,6 @@ class ImportancePredictor:
         self.w_score = self._p(r, (p, 1), 1.0 / math.sqrt(p))
         self.b_score = self._p(r, (1,), 0.0)
 
-    @staticmethod
-    def _p(rng: RngStream, shape, scale: float) -> Tensor:
-        data = rng.normal(0.0, 1.0, shape) * scale if scale else np.zeros(shape)
-        return Tensor(data, requires_grad=True)
-
     def parameters(self) -> dict:
         params = {"w_in": self.w_in, "b_in": self.b_in,
                   "w_score": self.w_score, "b_score": self.b_score}
@@ -97,10 +92,6 @@ class ImportancePredictor:
             for k, v in blk.items():
                 params[f"block{i}.{k}"] = v
         return params
-
-    def zero_grad(self):
-        for p in self.parameters().values():
-            p.zero_grad()
 
     def _attention(self, h: Tensor, blk: dict) -> Tensor:
         p = self.config.proj_dim
@@ -168,10 +159,6 @@ class PredictorTrace:
     mean_kl: list = field(default_factory=list)
 
 
-class DivergenceError(RuntimeError):
-    pass
-
-
 def train_predictor(
     records: list,
     config: PredictorConfig,
@@ -202,7 +189,7 @@ def train_predictor(
                 loss = kl if loss is None else loss + kl
             loss = loss * (1.0 / len(batch))
             if not np.isfinite(loss.item()):
-                raise DivergenceError(f"predictor loss diverged at epoch {epoch + 1}")
+                raise T.DivergenceError(f"predictor loss diverged at epoch {epoch + 1}")
             T.backward(loss)
             epoch_kl.append(loss.item())
             step += 1
@@ -222,29 +209,11 @@ def train_predictor(
 
 
 def save_predictor(predictor: ImportancePredictor, path: str):
-    from dataclasses import asdict
-
-    from .checkpoint import MAGIC_PREDICTOR, save_container
-
-    save_container(path, MAGIC_PREDICTOR, asdict(predictor.config),
-                   {k: p.data for k, p in predictor.parameters().items()})
+    save_params(path, MAGIC_PREDICTOR, predictor)
 
 
 def load_predictor(path: str) -> ImportancePredictor:
-    import dataclasses
-
-    from .checkpoint import MAGIC_PREDICTOR, load_container
-
-    cfg_raw, arrays = load_container(path, MAGIC_PREDICTOR)
-    casts = {"int": int, "float": float}
-    kwargs = {f.name: casts[str(f.type)](cfg_raw[f.name])
-              for f in dataclasses.fields(PredictorConfig)}
-    predictor = ImportancePredictor(PredictorConfig(**kwargs), RngStream(0, "load"))
-    for k, p in predictor.parameters().items():
-        if k not in arrays:
-            raise KeyError(f"{path}: missing parameter array {k!r}")
-        p.data = np.asarray(arrays[k], dtype=np.float64).reshape(p.data.shape)
-    return predictor
+    return load_params(path, MAGIC_PREDICTOR, ImportancePredictor, PredictorConfig)
 
 
 def mean_kl(predictor: ImportancePredictor, records: list) -> float:

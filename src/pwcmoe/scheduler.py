@@ -8,7 +8,7 @@ enumeration (oracle, tiny instances only), and send-all.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Sequence
 
 import numpy as np

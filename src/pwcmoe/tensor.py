@@ -99,6 +99,28 @@ class Tensor:
         return f"Tensor(shape={self.data.shape}, requires_grad={self.requires_grad})"
 
 
+class DivergenceError(RuntimeError):
+    """A training loss became NaN or infinite."""
+
+
+class Module:
+    """Base for the models: named trainable tensors and their initializer."""
+
+    def parameters(self) -> dict:
+        raise NotImplementedError
+
+    def zero_grad(self):
+        for p in self.parameters().values():
+            p.zero_grad()
+
+    @staticmethod
+    def _p(rng, shape, scale: float) -> Tensor:
+        """Trainable tensor drawn as scale * N(0, 1) from `rng`; zeros when
+        scale is 0 (no draw)."""
+        data = rng.normal(0.0, 1.0, shape) * scale if scale else np.zeros(shape)
+        return Tensor(data, requires_grad=True)
+
+
 def as_tensor(x) -> Tensor:
     return x if isinstance(x, Tensor) else Tensor(x)
 
@@ -318,10 +340,6 @@ def masked_fill(a: Tensor, mask: np.ndarray, value: float) -> Tensor:
     return _make(data, (a,), backward)
 
 
-def detach(a: Tensor) -> Tensor:
-    return Tensor(a.data.copy())
-
-
 def straight_through(soft: Tensor, hard_values: np.ndarray) -> Tensor:
     """Forward takes the hard values, backward is the identity onto `soft`.
 
@@ -400,26 +418,6 @@ def layer_norm(x: Tensor, gain: Tensor, bias: Tensor, epsilon: float = 1e-5) -> 
             bias._accum_grad(_unbroadcast(g, bias.data.shape))
 
     return _make(data, (x, gain, bias), backward)
-
-
-def cross_entropy(logits: Tensor, label: int) -> Tensor:
-    """-ln softmax(logits)[label] for a single example."""
-    flat = logits.data.reshape(-1)
-    n = flat.size
-    if not (0 <= label < n):
-        raise IndexError(f"label {label} out of range for {n} classes")
-    m = flat.max()
-    e = np.exp(flat - m)
-    p = e / e.sum()
-    data = -np.log(p[label])
-
-    def backward(g):
-        if logits.requires_grad:
-            gl = p.copy()
-            gl[label] -= 1.0
-            logits._accum_grad((g * gl).reshape(logits.data.shape))
-
-    return _make(data, (logits,), backward)
 
 
 def cross_entropy_batch(logits: Tensor, labels) -> Tensor:

@@ -288,6 +288,21 @@ class TestCli:
                      "budget_sweep.csv", "run-manifest.txt"]:
             assert os.path.exists(os.path.join(out, name))
 
+    def test_manifest_lists_every_stage_artifact_once(self, tmp_path):
+        cfg = tmp_path / "tiny.cfg"
+        cfg.write_text(TINY_CONFIG_TEXT)
+        out = str(tmp_path / "run")
+        for mode in ["train", "train-predictor", "eval", "sweep-budget",
+                     "target-accuracy", "sweep-distance"]:
+            assert cli.run([mode, "--config", str(cfg), "--out", out]) == 0
+        lines = open(os.path.join(out, "run-manifest.txt")).read().splitlines()
+        listed = [line.split(" = ", 1)[1] for line in lines
+                  if line.startswith("artifact = ")]
+        assert listed == ["model.pwcm", "train_metrics.csv", "predictor.pwcp",
+                          "predictor_metrics.csv", "eval_metrics.csv",
+                          "budget_sweep.csv", "target_accuracy.csv",
+                          "distance_sweep.csv"]
+
     def test_seed_flag_overrides_config(self, tmp_path):
         cfg = tmp_path / "s.cfg"
         cfg.write_text("seed = 3\n")

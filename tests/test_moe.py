@@ -85,24 +85,27 @@ class TestPrivacyIsolation:
                 assert np.all(res.z.data[i, :k_p] == 0.0)
 
 
+def one_example_load_balance(z, mask, k_p=2):
+    mask = np.asarray(mask)
+    return moe.batch_load_balance(Tensor(np.asarray(z, dtype=float)), mask,
+                                  np.zeros(mask.size, dtype=int), 1, k_p)
+
+
 class TestLoadBalance:
     def test_concentrated_usage_hand_value(self):
         # one sensitive token fully on expert 0 of 2: sum((1-.5)^2+(0-.5)^2)=0.5
-        z = Tensor(np.array([[1.0, 0.0, 0.0, 0.0]]))
-        l_p, l_np, total = moe.load_balance_loss(z, [1], k_p=2)
-        assert l_p.item() == pytest.approx(0.5)
-        assert l_np.item() == 0.0
+        total = one_example_load_balance([[1.0, 0.0, 0.0, 0.0]], [1])
         assert total.item() == pytest.approx(0.5)
 
     def test_uniform_usage_is_zero(self):
-        z = Tensor(np.tile([0.0, 0.0, 0.5, 0.5], (3, 1)))
-        _, l_np, total = moe.load_balance_loss(z, [0, 0, 0], k_p=2)
+        total = one_example_load_balance(np.tile([0.0, 0.0, 0.5, 0.5], (3, 1)),
+                                         [0, 0, 0])
         assert total.item() == pytest.approx(0.0, abs=1e-12)
 
     def test_empty_group_contributes_zero(self):
-        z = Tensor(np.array([[0.0, 0.0, 1.0, 0.0]]))
-        l_p, _, _ = moe.load_balance_loss(z, [0], k_p=2)
-        assert l_p.item() == 0.0
+        # no sensitive token: the total is the non-privacy group's 0.5 alone
+        total = one_example_load_balance([[0.0, 0.0, 1.0, 0.0]], [0])
+        assert total.item() == pytest.approx(0.5)
 
     def test_batch_version_matches_per_example_mean(self):
         rng = np.random.default_rng(4)
@@ -120,9 +123,8 @@ class TestLoadBalance:
         per_example = []
         for seq, _ in batch:
             res = model.forward(seq, mode="eval")
-            _, _, tot = moe.load_balance_loss(res.z, seq.mask,
-                                              model.config.num_privacy_experts)
-            per_example.append(tot.item())
+            per_example.append(one_example_load_balance(
+                res.z.data, seq.mask, model.config.num_privacy_experts).item())
         assert lb.item() == pytest.approx(np.mean(per_example), rel=1e-10)
 
 
@@ -131,19 +133,23 @@ class TestAggregate:
         h = Tensor(np.array([[1.0, 0.0], [0.0, 1.0]]))
         w = Tensor(np.array([[np.log(2.0)], [0.0]]))
         # scores (ln2, 0) -> alpha (2/3, 1/3)
-        alpha, pooled = moe.aggregate(h, w, [0, 1])
+        alpha, pooled = moe.aggregate(h, w, [0, 0], 1)
         assert np.allclose(alpha.data.reshape(-1), [2 / 3, 1 / 3])
         assert np.allclose(pooled.data, [[2 / 3, 1 / 3]])
 
     def test_restricted_active_set(self):
-        h = Tensor(np.array([[1.0, 0.0], [5.0, 5.0]]))
-        alpha, pooled = moe.aggregate(h, Tensor(np.zeros((2, 1))), [0])
-        assert np.allclose(alpha.data, [[1.0]])
-        assert np.allclose(pooled.data, [[1.0, 0.0]])
+        # only the pooled rows are passed; each segment pools its own rows
+        rows = Tensor(np.array([[1.0, 0.0], [5.0, 5.0], [0.0, 2.0]]))
+        alpha, pooled = moe.aggregate(rows, Tensor(np.zeros((2, 1))), [0, 1, 1], 2)
+        assert np.allclose(alpha.data, [[1.0], [0.5], [0.5]])
+        assert np.allclose(pooled.data, [[1.0, 0.0], [2.5, 3.5]])
 
     def test_empty_active_raises(self):
         with pytest.raises(ValueError, match="no tokens to aggregate"):
-            moe.aggregate(Tensor(np.zeros((2, 2))), Tensor(np.zeros((2, 1))), [])
+            moe.aggregate(Tensor(np.zeros((0, 2))), Tensor(np.zeros((2, 1))), [], 1)
+        # a segment with no rows fails even when another has some
+        with pytest.raises(ValueError, match="no tokens to aggregate"):
+            moe.aggregate(Tensor(np.zeros((1, 2))), Tensor(np.zeros((2, 1))), [1], 2)
 
 
 class TestForward:
@@ -218,6 +224,42 @@ class TestBatchForward:
             single = tiny_model.forward(seq, active=actives[e], mode="eval")
             assert np.allclose(logits.data[e], single.logits.data.reshape(-1),
                                atol=1e-10)
+
+
+    def test_inactive_token_with_extreme_scores_stays_finite(self, tiny_model):
+        # example A pools one of its two tokens, and that token scores -1000:
+        # an inactive token must not enter the softmax (exp(0 + 1000)
+        # overflows) nor spread NaN to example B in the same batch
+        seq_a, seq_b = make_seq([2, 3], [0, 0]), make_seq([4, 5, 6], [1, 0, 0])
+        res = tiny_model.forward(seq_a, active=[0], mode="eval")
+        score = (res.h_prime.data[0] @ tiny_model.agg_w.data).item()
+        tiny_model.agg_w.data = tiny_model.agg_w.data * (-1000.0 / score)
+        batch = [(seq_a, 0), (seq_b, 0)]
+        actives = [np.array([0]), np.array([0, 1, 2])]
+        logits, _, _, _ = moe.batch_forward(tiny_model, batch, mode="eval",
+                                            actives=actives)
+        assert np.all(np.isfinite(logits.data))
+        singles = [tiny_model.forward(seq, active=act, mode="eval")
+                   for (seq, _), act in zip(batch, actives)]
+        assert (singles[0].h_prime.data[0] @ tiny_model.agg_w.data).item() == \
+            pytest.approx(-1000.0)
+        for e, single in enumerate(singles):
+            assert np.allclose(logits.data[e], single.logits.data.reshape(-1),
+                               atol=1e-10)
+
+        from pwcmoe.scheduler import OffloadDecision
+
+        def provider(i, seq):
+            if i == 0:
+                return OffloadDecision(selected=[0], dropped=[1], budget=1,
+                                       strategy="x")
+            return None
+
+        labels = [0, 1]
+        data = [(seq_a, labels[0]), (seq_b, labels[1])]
+        per_example = np.mean([int(s.logits.data.argmax()) == lb
+                               for s, lb in zip(singles, labels)])
+        assert moe.evaluate(tiny_model, data, provider) == per_example
 
 
 class TestEvaluate:
