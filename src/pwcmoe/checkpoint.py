@@ -47,32 +47,40 @@ def save_container(path: str, magic: bytes, config: dict, arrays: dict):
 
 
 def load_container(path: str, magic: bytes):
-    """Read a container; rejects wrong magic and version mismatches."""
+    """Read a container; rejects wrong magic, version mismatches and files
+    that end early."""
     with open(path, "rb") as fh:
-        got = fh.read(4)
+        def read(n: int, what: str) -> bytes:
+            buf = fh.read(n)
+            if len(buf) != n:
+                raise CheckpointError(
+                    f"{path}: truncated: {what} needs {n} bytes, found {len(buf)}")
+            return buf
+
+        got = read(4, "magic")
         if got != magic:
             raise CheckpointError(f"{path}: bad magic {got!r}, expected {magic!r}")
-        (version,) = struct.unpack("<I", fh.read(4))
+        (version,) = struct.unpack("<I", read(4, "version"))
         if version != FORMAT_VERSION:
             raise CheckpointError(
                 f"{path}: format version {version} unsupported (expected {FORMAT_VERSION})"
             )
-        (cfg_len,) = struct.unpack("<I", fh.read(4))
-        cfg_text = fh.read(cfg_len).decode("utf-8")
+        (cfg_len,) = struct.unpack("<I", read(4, "config length"))
+        cfg_text = read(cfg_len, "config").decode("utf-8")
         config = {}
         for line in cfg_text.splitlines():
             if line:
                 k, _, v = line.partition("=")
                 config[k] = v
-        (n_arrays,) = struct.unpack("<I", fh.read(4))
+        (n_arrays,) = struct.unpack("<I", read(4, "array count"))
         arrays = {}
-        for _ in range(n_arrays):
-            (name_len,) = struct.unpack("<H", fh.read(2))
-            name = fh.read(name_len).decode("utf-8")
-            (rank,) = struct.unpack("<B", fh.read(1))
-            dims = struct.unpack(f"<{rank}I", fh.read(4 * rank)) if rank else ()
+        for i in range(n_arrays):
+            (name_len,) = struct.unpack("<H", read(2, f"array {i} name length"))
+            name = read(name_len, f"array {i} name").decode("utf-8")
+            (rank,) = struct.unpack("<B", read(1, f"array {name!r} rank"))
+            dims = struct.unpack(f"<{rank}I", read(4 * rank, f"array {name!r} shape"))
             count = int(np.prod(dims)) if dims else 1
-            buf = fh.read(4 * count)
+            buf = read(4 * count, f"array {name!r} values")
             arrays[name] = np.frombuffer(buf, dtype="<f4").reshape(dims).astype(np.float64)
         return config, arrays
 

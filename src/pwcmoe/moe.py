@@ -110,16 +110,10 @@ def aggregate(rows: Tensor, w: Tensor, seg, n_segments: int) -> tuple:
     seg = np.asarray(seg, dtype=np.intp)
     if np.bincount(seg, minlength=n_segments).min() == 0:
         raise ValueError("no tokens to aggregate")
-    scores = T.matmul(rows, w)  # (n, 1)
-    # per-segment max as a gradient-free shift
-    shift = np.full(n_segments, -np.inf)
-    np.maximum.at(shift, seg, scores.data.reshape(-1))
-    e = T.exp(scores - shift[seg].reshape(-1, 1))
+    alpha = T.segment_softmax(T.matmul(rows, w), seg, n_segments)  # (n, 1)
     sel = np.zeros((n_segments, seg.size))
     sel[seg, np.arange(seg.size)] = 1.0
-    sel = Tensor(sel)
-    alpha = e * T.reciprocal(T.gather_rows(T.matmul(sel, e), seg))
-    return alpha, T.matmul(sel, alpha * rows)
+    return alpha, T.matmul(Tensor(sel), alpha * rows)
 
 
 @dataclass

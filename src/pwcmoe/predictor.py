@@ -6,7 +6,8 @@ Architecture: linear projection to a reduced width, a stack of post-norm
 transformer encoder blocks (multi-head self-attention + feedforward, residual
 connections, layer norm), and a scalar scoring head normalized by softmax
 over the sequence. No positional encoding: importance is content-based, and
-the model stays permutation-equivariant by construction.
+the model stays permutation-equivariant by construction. Training packs each
+minibatch into one token matrix (`ImportancePredictor.predict_batch`).
 """
 
 from __future__ import annotations
@@ -93,32 +94,29 @@ class ImportancePredictor(T.Module):
                 params[f"block{i}.{k}"] = v
         return params
 
-    def _attention(self, h: Tensor, blk: dict) -> Tensor:
-        p = self.config.proj_dim
-        dh = p // self.config.heads
-        q = T.matmul(h, blk["wq"])
-        k = T.matmul(h, blk["wk"])
-        v = T.matmul(h, blk["wv"])
-        heads = []
-        for i in range(self.config.heads):
-            qh = T.narrow(q, 1, i * dh, dh)
-            kh = T.narrow(k, 1, i * dh, dh)
-            vh = T.narrow(v, 1, i * dh, dh)
-            scores = T.matmul(qh, T.transpose(kh)) * (1.0 / math.sqrt(dh))
-            heads.append(T.matmul(T.softmax(scores, axis=-1), vh))
-        return T.matmul(T.concat(heads, axis=1), blk["wo"]) + blk["bo"]
-
-    def predict(self, embeddings) -> Tensor:
-        """Importance distribution over the sequence; shape (L, 1), sums to 1."""
-        x = embeddings if isinstance(embeddings, Tensor) else Tensor(embeddings)
-        h = T.matmul(x, self.w_in) + self.b_in
+    def predict_batch(self, embeddings: list) -> Tensor:
+        """The one predictor forward. Packs the sequences (each an (L_i, d)
+        array) into one (N, d) matrix with a segment id per token; attention
+        and the scoring softmax stay within each sequence (sequence packing
+        without cross-contamination). Returns the importance column (N, 1);
+        each sequence's rows sum to 1."""
+        n = len(embeddings)
+        seg = np.repeat(np.arange(n), [len(e) for e in embeddings])
+        h = T.matmul(Tensor(np.concatenate(embeddings)), self.w_in) + self.b_in
         for blk in self.blocks:
-            h = T.layer_norm(h + self._attention(h, blk), blk["ln1_g"], blk["ln1_b"])
+            att = T.segment_attention(T.matmul(h, blk["wq"]), T.matmul(h, blk["wk"]),
+                                      T.matmul(h, blk["wv"]), seg, n, self.config.heads)
+            att = T.matmul(att, blk["wo"]) + blk["bo"]
+            h = T.layer_norm(h + att, blk["ln1_g"], blk["ln1_b"])
             ffn = T.matmul(T.relu(T.matmul(h, blk["ffn_w1"]) + blk["ffn_b1"]),
                            blk["ffn_w2"]) + blk["ffn_b2"]
             h = T.layer_norm(h + ffn, blk["ln2_g"], blk["ln2_b"])
         scores = T.matmul(h, self.w_score) + self.b_score
-        return T.softmax(scores, axis=0)
+        return T.segment_softmax(scores, seg, n)
+
+    def predict(self, embeddings: np.ndarray) -> Tensor:
+        """Importance distribution over one sequence; shape (L, 1), sums to 1."""
+        return self.predict_batch([embeddings])
 
     def scores_np(self, embeddings: np.ndarray) -> np.ndarray:
         with T.no_grad():
@@ -141,16 +139,24 @@ def kl_loss(alpha, alpha_hat: Tensor) -> Tensor:
 
 def collect_dataset(model, data) -> list:
     """(embedding, alpha) pairs from noise-free full-sequence forwards of a
-    trained classifier."""
+    trained classifier, `model.config.batch_size` sequences per forward."""
     records = []
+    step = model.config.batch_size
     with T.no_grad():
-        for seq, _ in data:
-            res = model.forward(seq, mode="eval")
-            records.append(ImportanceRecord(
-                embeddings=res.h.data.copy(),
-                target=res.alpha.data.reshape(-1).copy(),
-            ))
+        for start in range(0, len(data), step):
+            chunk = data[start:start + step]
+            res = model.forward_batch(chunk, mode="eval")
+            cuts = np.cumsum([seq.length for seq, _ in chunk])[:-1]
+            for emb, alpha in zip(np.split(res.h.data, cuts),
+                                  np.split(res.alpha.data.reshape(-1), cuts)):
+                records.append(ImportanceRecord(embeddings=emb, target=alpha))
     return records
+
+
+def packed_kl(predictor: ImportancePredictor, records: list) -> Tensor:
+    """Summed KL of `records` under one packed forward."""
+    alpha_hat = predictor.predict_batch([r.embeddings for r in records])
+    return kl_loss(np.concatenate([r.target for r in records]), alpha_hat)
 
 
 @dataclass
@@ -183,11 +189,7 @@ def train_predictor(
         for start in range(0, n, config.batch_size):
             batch = [records[i] for i in order[start:start + config.batch_size]]
             predictor.zero_grad()
-            loss = None
-            for rec in batch:
-                kl = kl_loss(rec.target, predictor.predict(rec.embeddings))
-                loss = kl if loss is None else loss + kl
-            loss = loss * (1.0 / len(batch))
+            loss = packed_kl(predictor, batch) * (1.0 / len(batch))
             if not np.isfinite(loss.item()):
                 raise T.DivergenceError(f"predictor loss diverged at epoch {epoch + 1}")
             T.backward(loss)
@@ -217,7 +219,8 @@ def load_predictor(path: str) -> ImportancePredictor:
 
 
 def mean_kl(predictor: ImportancePredictor, records: list) -> float:
+    step = predictor.config.batch_size
     with T.no_grad():
-        vals = [kl_loss(r.target, predictor.predict(r.embeddings)).item()
-                for r in records]
-    return float(np.mean(vals))
+        total = sum(packed_kl(predictor, records[i:i + step]).item()
+                    for i in range(0, len(records), step))
+    return total / len(records)

@@ -2,15 +2,17 @@
 
 Just enough machinery to train the routed-expert classifier and the
 importance predictor: 1-D/2-D tensors, a tape-free graph of closures, and a
-handful of fused ops (softmax, layer norm, cross entropy) whose gradients are
-written out analytically. Everything runs in float64 by default so that
-finite-difference checks are meaningful.
+handful of fused ops (softmax, segment softmax, segment attention, layer
+norm, cross entropy) whose gradients are written out analytically.
+Everything runs in float64 by default so that finite-difference checks are
+meaningful.
 """
 
 from __future__ import annotations
 
 import contextlib
-from typing import Iterable, Sequence
+import math
+from typing import Iterable
 
 import numpy as np
 
@@ -63,9 +65,12 @@ class Tensor:
         self.grad = None
 
     def _accum_grad(self, g: np.ndarray):
+        # a private copy on first write: `add` hands one `g` to both parents
+        # and `reshape` hands a view of the child's grad
         if self.grad is None:
-            self.grad = np.zeros_like(self.data)
-        self.grad += g
+            self.grad = np.array(g, dtype=np.float64)
+        else:
+            self.grad += g
 
     # -- operator sugar ----------------------------------------------------
     def __add__(self, other):
@@ -189,14 +194,6 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
     return _make(data, (a, b), backward)
 
 
-def transpose(a: Tensor) -> Tensor:
-    def backward(g):
-        if a.requires_grad:
-            a._accum_grad(g.T)
-
-    return _make(a.data.T, (a,), backward)
-
-
 def relu(a: Tensor) -> Tensor:
     keep = a.data > 0.0
 
@@ -205,16 +202,6 @@ def relu(a: Tensor) -> Tensor:
             a._accum_grad(g * keep)
 
     return _make(a.data * keep, (a,), backward)
-
-
-def exp(a: Tensor) -> Tensor:
-    data = np.exp(a.data)
-
-    def backward(g):
-        if a.requires_grad:
-            a._accum_grad(g * data)
-
-    return _make(data, (a,), backward)
 
 
 def log(a: Tensor) -> Tensor:
@@ -298,22 +285,6 @@ def narrow(a: Tensor, axis: int, start: int, length: int) -> Tensor:
     return _make(a.data[sl].copy(), (a,), backward)
 
 
-def concat(parts: Sequence[Tensor], axis: int = 0) -> Tensor:
-    parts = [as_tensor(p) for p in parts]
-    data = np.concatenate([p.data for p in parts], axis=axis)
-    sizes = [p.data.shape[axis] for p in parts]
-    offsets = np.cumsum([0] + sizes)
-
-    def backward(g):
-        for p, lo, hi in zip(parts, offsets[:-1], offsets[1:]):
-            if p.requires_grad:
-                sl = [slice(None)] * g.ndim
-                sl[axis] = slice(lo, hi)
-                p._accum_grad(g[tuple(sl)])
-
-    return _make(data, tuple(parts), backward)
-
-
 def gather_elems(a: Tensor, rows, cols) -> Tensor:
     """Pick a[rows[i], cols[i]] for each i; returns a 1-D tensor."""
     rows = np.asarray(rows, dtype=np.intp)
@@ -358,16 +329,6 @@ def straight_through(soft: Tensor, hard_values: np.ndarray) -> Tensor:
     return _make(hard_values, (soft,), backward)
 
 
-def reciprocal(a: Tensor) -> Tensor:
-    data = 1.0 / a.data
-
-    def backward(g):
-        if a.requires_grad:
-            a._accum_grad(-g * data * data)
-
-    return _make(data, (a,), backward)
-
-
 # -- fused ops -------------------------------------------------------------
 
 def softmax(a: Tensor, temperature: float = 1.0, axis: int = -1) -> Tensor:
@@ -395,6 +356,78 @@ def softmax(a: Tensor, temperature: float = 1.0, axis: int = -1) -> Tensor:
             a._accum_grad((z * (g - inner)) / temperature)
 
     return _make(z, (a,), backward)
+
+
+def segment_softmax(a: Tensor, seg, n_segments: int) -> Tensor:
+    """Softmax of a column of scores (n, 1) within each segment: row i is
+    normalized over the rows j with seg[j] == seg[i]. Computed as
+    e * (1 / segment sum of e), the sums by a dense (n_segments, n) selector."""
+    seg = np.asarray(seg, dtype=np.intp)
+    x = a.data
+    # per-segment max as a gradient-free shift
+    shift = np.full(n_segments, -np.inf)
+    np.maximum.at(shift, seg, x.reshape(-1))
+    e = np.exp(x - shift[seg].reshape(x.shape))
+    sel = np.zeros((n_segments, seg.size))
+    sel[seg, np.arange(seg.size)] = 1.0
+    r = 1.0 / (sel @ e)[seg]
+
+    def backward(g):
+        if a.requires_grad:
+            acc = np.zeros((n_segments,) + x.shape[1:])
+            np.add.at(acc, seg, -(g * e) * r * r)
+            a._accum_grad((g * r + acc[seg]) * e)
+
+    return _make(e * r, (a,), backward)
+
+
+def segment_attention(q: Tensor, k: Tensor, v: Tensor, seg, n_segments: int,
+                      heads: int) -> Tensor:
+    """Multi-head scaled dot-product self-attention within each segment of a
+    packed (N, p) token matrix: a token attends only to the tokens of its own
+    segment. Segments are contiguous runs of `seg` (non-decreasing) and none
+    is empty. The heads are the `heads` equal column blocks of q, k and v.
+    Runs padded to (n_segments, heads, longest segment, p / heads), with
+    padded keys masked out; the output (N, p) has the heads side by side."""
+    seg = np.asarray(seg, dtype=np.intp)
+    n, p = q.data.shape
+    if p % heads:
+        raise ShapeError(f"{heads} heads do not divide width {p}")
+    counts = np.bincount(seg, minlength=n_segments)
+    if counts.min() == 0 or np.any(np.diff(seg) < 0):
+        raise ValueError("segments must be contiguous and non-empty")
+    dh = p // heads
+    pos = np.arange(n) - (np.cumsum(counts) - counts)[seg]
+    L = int(counts.max())
+    scale = 1.0 / math.sqrt(dh)
+
+    def pad(x):
+        out = np.zeros((n_segments, heads, L, dh))
+        out[seg, :, pos] = x.reshape(n, heads, dh)
+        return out
+
+    def unpad(x):
+        return x[seg, :, pos].reshape(n, p)
+
+    Q, K, V = pad(q.data), pad(k.data), pad(v.data)
+    s = (Q @ K.transpose(0, 1, 3, 2)) * scale
+    key_ok = (np.arange(L) < counts[:, None])[:, None, None, :]
+    s = np.where(key_ok, s, -np.inf)
+    e = np.exp(s - s.max(axis=-1, keepdims=True))
+    w = e / e.sum(axis=-1, keepdims=True)
+
+    def backward(g):
+        go = pad(g)
+        gw = go @ V.transpose(0, 1, 3, 2)
+        gs = w * (gw - (gw * w).sum(axis=-1, keepdims=True)) * scale
+        if q.requires_grad:
+            q._accum_grad(unpad(gs @ K))
+        if k.requires_grad:
+            k._accum_grad(unpad(gs.transpose(0, 1, 3, 2) @ Q))
+        if v.requires_grad:
+            v._accum_grad(unpad(w.transpose(0, 1, 3, 2) @ go))
+
+    return _make(unpad(w @ V), (q, k, v), backward)
 
 
 def layer_norm(x: Tensor, gain: Tensor, bias: Tensor, epsilon: float = 1e-5) -> Tensor:

@@ -269,6 +269,21 @@ class TestCli:
         rc = cli.run(["eval", "--out", str(tmp_path)])
         assert rc == 1
 
+    def test_eval_on_truncated_checkpoint_exits_1(self, tmp_path, capsys):
+        cfg = tmp_path / "tiny.cfg"
+        cfg.write_text(TINY_CONFIG_TEXT)
+        out = str(tmp_path / "run")
+        assert cli.run(["train", "--config", str(cfg), "--out", out]) == 0
+        path = os.path.join(out, "model.pwcm")
+        raw = open(path, "rb").read()
+        capsys.readouterr()
+        for cut in (10, 2000):
+            open(path, "wb").write(raw[:cut])
+            assert cli.run(["eval", "--config", str(cfg), "--out", out]) == 1
+            err = capsys.readouterr().err
+            assert err.startswith("error: ") and "truncated" in err
+            assert err.count("\n") == 1
+
     def test_channel_probe_succeeds(self, tmp_path, capsys):
         cfg = tmp_path / "probe.cfg"
         cfg.write_text("channel.deterministic = true\n")

@@ -344,6 +344,16 @@ class TestCheckpoint:
         with pytest.raises(CheckpointError, match="magic"):
             moe.load_model(path)
 
+    def test_truncated_file_rejected(self, tiny_model, tmp_path):
+        from pwcmoe.checkpoint import CheckpointError
+        path = str(tmp_path / "model.pwcm")
+        moe.save_model(tiny_model, path)
+        raw = open(path, "rb").read()
+        for cut in list(range(64)) + list(range(64, len(raw), 29)) + [len(raw) - 1]:
+            open(path, "wb").write(raw[:cut])
+            with pytest.raises(CheckpointError, match="truncated"):
+                moe.load_model(path)
+
 
 class TestUsage:
     def test_soft_usage_group_normalization(self, tiny_model):

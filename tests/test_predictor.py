@@ -103,6 +103,26 @@ class TestPredict:
         p = predictor.ImportancePredictor(tiny_config(), RngStream(2, "p"))
         assert p.scores_np(np.zeros((1, 8))) == pytest.approx([1.0])
 
+    def test_packed_equals_per_record(self):
+        p = predictor.ImportancePredictor(tiny_config(layers=2), RngStream(6, "p"))
+        rng = np.random.default_rng(4)
+        embs = [rng.normal(size=(L, 8)) for L in (5, 1, 3, 7, 2)]
+        packed = p.predict_batch(embs).data.reshape(-1)
+        cuts = np.cumsum([len(e) for e in embs])[:-1]
+        for emb, got in zip(embs, np.split(packed, cuts)):
+            assert np.allclose(got, p.scores_np(emb), rtol=0, atol=1e-12)
+
+    def test_packed_records_do_not_mix(self):
+        p = predictor.ImportancePredictor(tiny_config(layers=2), RngStream(7, "p"))
+        rng = np.random.default_rng(5)
+        embs = [rng.normal(size=(L, 8)) for L in (4, 2, 6)]
+        before = p.predict_batch(embs).data
+        embs[1] = rng.normal(size=(2, 8))
+        after = p.predict_batch(embs).data
+        keep = np.repeat([True, False, True], [4, 2, 6])
+        assert np.array_equal(before[keep], after[keep])
+        assert not np.array_equal(before[~keep], after[~keep])
+
     def test_end_to_end_gradient(self, fd_check):
         cfg = tiny_config()
         p = predictor.ImportancePredictor(cfg, RngStream(3, "p"))
@@ -115,17 +135,55 @@ class TestPredict:
 
 class TestCollect:
     def test_targets_come_from_aggregation_weights(self):
+        # batch_size 3: the seven sequences take three forwards, the last partial
         cfg = moe.MoEConfig(vocab_size=12, num_classes=3, d=4, num_experts=3,
-                            num_privacy_experts=1, expert_hidden=5)
+                            num_privacy_experts=1, expert_hidden=5, batch_size=3)
         model = moe.MoEModel(cfg, RngStream(4, "m"))
-        data = [(make_seq([2, 3, 4], [1, 0, 0]), 0),
-                (make_seq([5, 6], [0, 0]), 1)]
+        rng = np.random.default_rng(6)
+        data = []
+        for L in (3, 2, 1, 5, 4, 2, 6):
+            ids = rng.integers(2, 12, L)
+            data.append((make_seq(ids, (ids % 2 == 0).astype(int)), 0))
         records = predictor.collect_dataset(model, data)
-        assert len(records) == 2
+        assert len(records) == len(data)
         for rec, (seq, _) in zip(records, data):
             res = model.forward(seq, mode="eval")
-            assert np.allclose(rec.target, res.alpha.data.reshape(-1))
-            assert np.allclose(rec.embeddings, res.h.data)
+            assert np.allclose(rec.target, res.alpha.data.reshape(-1), rtol=0, atol=1e-12)
+            assert np.allclose(rec.embeddings, res.h.data, rtol=0, atol=1e-12)
+
+
+def reference_kl_trace(records, config, seed):
+    """`train_predictor` with one forward and one KL per record: the mean KL
+    of every epoch."""
+    pred = predictor.ImportancePredictor(config, RngStream(seed, "predictor"))
+    params = pred.parameters()
+    m = {k: np.zeros_like(p.data) for k, p in params.items()}
+    v = {k: np.zeros_like(p.data) for k, p in params.items()}
+    beta1, beta2 = 0.9, 0.999
+    shuffle = RngStream(seed, "predictor/shuffle")
+    step, trace = 0, []
+    for _ in range(config.epochs):
+        order = shuffle.permutation(len(records))
+        kls = []
+        for start in range(0, len(records), config.batch_size):
+            batch = [records[i] for i in order[start:start + config.batch_size]]
+            pred.zero_grad()
+            loss = None
+            for rec in batch:
+                kl = predictor.kl_loss(rec.target, pred.predict(rec.embeddings))
+                loss = kl if loss is None else loss + kl
+            loss = loss * (1.0 / len(batch))
+            T.backward(loss)
+            kls.append(loss.item())
+            step += 1
+            for k, p in params.items():
+                m[k] = beta1 * m[k] + (1 - beta1) * p.grad
+                v[k] = beta2 * v[k] + (1 - beta2) * p.grad ** 2
+                mh = m[k] / (1 - beta1 ** step)
+                vh = v[k] / (1 - beta2 ** step)
+                p.data = p.data - config.learning_rate * mh / (np.sqrt(vh) + 1e-8)
+        trace.append(float(np.mean(kls)))
+    return trace
 
 
 class TestTraining:
@@ -140,6 +198,17 @@ class TestTraining:
             a = np.exp(s - s.max())
             records.append(predictor.ImportanceRecord(emb, a / a.sum()))
         return records
+
+    def test_matches_per_record_reference_trainer(self):
+        rng = np.random.default_rng(7)
+        records = []
+        for L in rng.integers(1, 7, 10):
+            emb = rng.normal(size=(L, 8))
+            records.append(predictor.ImportanceRecord(emb, rng.dirichlet(np.ones(L))))
+        cfg = tiny_config(epochs=2, batch_size=4)
+        _, trace = predictor.train_predictor(records, cfg, seed=2)
+        ref = reference_kl_trace(records, cfg, seed=2)
+        assert np.allclose(trace.mean_kl, ref, rtol=1e-12, atol=0)
 
     def test_kl_decreases(self):
         records = self._records(40)

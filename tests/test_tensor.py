@@ -72,6 +72,65 @@ class TestSoftmax:
         fd_check(lambda: T.tsum(T.softmax(x, temperature=0.7) * w), {"x": x})
 
 
+# three segments of unequal length, one of them a single token
+SEG = np.array([0, 0, 0, 0, 1, 2, 2, 2])
+
+
+class TestSegmentSoftmax:
+    def test_each_segment_is_a_softmax(self):
+        x = rand((8, 1), 20)
+        out = T.segment_softmax(Tensor(x), SEG, 3).data
+        for s in range(3):
+            rows = SEG == s
+            e = np.exp(x[rows] - x[rows].max())
+            assert np.allclose(out[rows], e / e.sum(), rtol=0, atol=1e-15)
+        assert out[SEG == 1, 0].tolist() == [1.0]
+
+    def test_gradient(self, fd_check):
+        x = Tensor(rand((8, 1), 21), requires_grad=True)
+        w = rand((8, 1), 22)
+        fd_check(lambda: T.tsum(T.segment_softmax(x, SEG, 3) * w), {"x": x})
+
+
+def attention_reference(q, k, v, seg, heads):
+    """Per-segment, per-head softmax(q k^T / sqrt(dh)) v, heads side by side."""
+    dh = q.shape[1] // heads
+    out = np.zeros_like(q)
+    for s in np.unique(seg):
+        rows = seg == s
+        for h in range(heads):
+            cols = slice(h * dh, (h + 1) * dh)
+            sc = q[rows, cols] @ k[rows, cols].T / math.sqrt(dh)
+            e = np.exp(sc - sc.max(axis=1, keepdims=True))
+            out[np.ix_(rows, np.arange(h * dh, (h + 1) * dh))] = (
+                e / e.sum(axis=1, keepdims=True)) @ v[rows, cols]
+    return out
+
+
+class TestSegmentAttention:
+    def test_matches_per_segment_per_head_reference(self):
+        q, k, v = rand((8, 4), 23), rand((8, 4), 24), rand((8, 4), 25)
+        out = T.segment_attention(Tensor(q), Tensor(k), Tensor(v), SEG, 3, 2).data
+        assert np.allclose(out, attention_reference(q, k, v, SEG, 2), rtol=0, atol=1e-12)
+        # a single-token segment attends only to itself
+        assert np.array_equal(out[SEG == 1], v[SEG == 1])
+
+    def test_gradient(self, fd_check):
+        q = Tensor(rand((8, 4), 26), requires_grad=True)
+        k = Tensor(rand((8, 4), 27), requires_grad=True)
+        v = Tensor(rand((8, 4), 28), requires_grad=True)
+        w = rand((8, 4), 29)
+        fd_check(lambda: T.tsum(T.segment_attention(q, k, v, SEG, 3, 2) * w),
+                 {"q": q, "k": k, "v": v})
+
+    def test_rejects_unsorted_or_empty_segments(self):
+        x = Tensor(rand((3, 4), 30))
+        with pytest.raises(ValueError, match="contiguous"):
+            T.segment_attention(x, x, x, [1, 0, 1], 2, 2)
+        with pytest.raises(ValueError, match="non-empty"):
+            T.segment_attention(x, x, x, [0, 0, 2], 3, 2)
+
+
 class TestLayerNorm:
     def test_constant_input_maps_to_zero(self):
         out = T.layer_norm(Tensor([1.0, 1.0, 1.0]), Tensor(np.ones(3)), Tensor(np.zeros(3)))
@@ -178,10 +237,12 @@ class TestIndexing:
         with pytest.raises(IndexError):
             T.gather_rows(Tensor(np.zeros((3, 2))), [5])
 
-    def test_narrow_and_concat_inverse(self):
+    def test_narrow_matches_numpy_slicing(self):
         x = Tensor(rand((3, 6), 13))
-        parts = [T.narrow(x, 1, i, 2) for i in (0, 2, 4)]
-        assert np.array_equal(T.concat(parts, axis=1).data, x.data)
+        for axis, start, length in ((1, 0, 2), (1, 2, 4), (0, 1, 2), (0, 2, 1)):
+            sl = [slice(None)] * 2
+            sl[axis] = slice(start, start + length)
+            assert np.array_equal(T.narrow(x, axis, start, length).data, x.data[tuple(sl)])
 
     def test_masked_fill_blocks_gradient(self):
         x = Tensor([1.0, 2.0], requires_grad=True)
