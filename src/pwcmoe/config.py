@@ -139,7 +139,7 @@ def spec_from_entries(entries: dict) -> ExperimentSpec:
                 "sweep": spec.sweep}
     for key, value in entries.items():
         if key == "seed":
-            spec.seed = int(value)
+            spec.seed = _coerce(value, "int", key)
             continue
         section_name, _, fname = key.partition(".")
         section = sections.get(section_name)
@@ -149,7 +149,21 @@ def spec_from_entries(entries: dict) -> ExperimentSpec:
         if fname not in ftypes:
             raise ConfigError(f"unknown config key: {key}")
         setattr(section, fname, _coerce(value, ftypes[fname], key))
+    _check_ranges(spec)
     return spec
+
+
+def _check_ranges(spec: ExperimentSpec):
+    """Reject values the sweeps cannot run on. A negative budget would select
+    nothing, and zero trials would average an empty list."""
+    for k in spec.sweep.budgets:
+        if not isinstance(k, int) or k < 0:
+            raise ConfigError(f"sweep.budgets: {k!r} is not an integer >= 0")
+    for key, value in (("sweep.trials", spec.sweep.trials),
+                       ("sweep.channel_draws", spec.sweep.channel_draws),
+                       ("data.max_len", spec.data.max_len)):
+        if value < 1:
+            raise ConfigError(f"{key} must be >= 1, got {value}")
 
 
 def load_config(path: str) -> ExperimentSpec:

@@ -95,7 +95,7 @@ def detokenize(ids: list, vocab: Vocabulary) -> str:
 
 
 def contains_digit(token: str) -> bool:
-    return any(c.isdigit() for c in token)
+    return any(map(str.isdigit, token))
 
 
 def mask_privacy(

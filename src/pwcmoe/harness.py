@@ -3,14 +3,15 @@ emulation, budget / distance / target-accuracy sweeps, and CSV metrics.
 
 Every stochastic choice derives from the experiment seed through labeled
 RngStreams, so a (config, seed) pair fully determines every output byte.
-Each sweep stage scores every test example with the predictor once.
+Each sweep stage runs the MoE forward over the test split once and scores
+every test example with the predictor once; each offload decision is then a
+mask over that pass's tokens.
 """
 
 from __future__ import annotations
 
 import os
 from dataclasses import dataclass, replace
-from typing import Optional
 
 import numpy as np
 
@@ -19,8 +20,8 @@ from . import corpus, scheduler
 from . import tensor as T
 from .checkpoint import FORMAT_VERSION, load_embeddings
 from .config import ExperimentSpec, config_hash
-from .moe import (MoEConfig, MoEModel, active_set, evaluate, load_model,
-                  save_model, train_model)
+from .moe import (MaskScorer, MoEConfig, MoEModel, active_set, evaluate,
+                  load_model, save_model, train_model)
 from .predictor import (ImportancePredictor, PredictorConfig, collect_dataset,
                         load_predictor, save_predictor, train_predictor)
 from .rng import RngStream
@@ -159,41 +160,42 @@ def collaborative_forward(model: MoEModel, seq, decision) -> np.ndarray:
 
 # -- strategy evaluation ---------------------------------------------------
 
-def topk_curve(model: MoEModel, predictor: ImportancePredictor, data, budgets) -> dict:
-    """Top-k accuracy per budget. Each example is scored once and its scores
-    serve every budget."""
-    scores = [predictor.scores_np(model.embedding.data[np.asarray(seq.ids)])
-              for seq, _ in data]
-    return {k: evaluate(model, data,
-                        lambda i, seq, k=k: scheduler.select_topk(scores[i], seq.mask, k))
-            for k in budgets}
+def topk_masks(scorer: MaskScorer, predictor: ImportancePredictor, budgets) -> dict:
+    """Per budget k, the active tokens of predictor top-k: every example keeps
+    its sensitive tokens and its k best-ranked non-sensitive ones. Each
+    example is scored once."""
+    rank = np.full(scorer.sensitive.size, np.iinfo(np.intp).max)
+    emb = scorer.model.embedding.data
+    for (seq, _), off in zip(scorer.data, scorer.offsets):
+        order = scheduler.topk_order(predictor.scores_np(emb[np.asarray(seq.ids)]), seq.mask)
+        rank[off + np.asarray(order, dtype=np.intp)] = np.arange(len(order))
+    return {k: scorer.sensitive | (rank < k) for k in budgets}
 
 
-def random_provider(budget: int, rng: RngStream):
-    def provider(i, seq):
-        return scheduler.select_random(seq.mask, budget, rng)
-    return provider
+def random_masks(scorer: MaskScorer, budget: int, trials: int, seed: int, label: str):
+    """The active tokens of each random-selection trial at `budget`. Trial t
+    draws from stream `{label}/k{budget}/trial{t}`, once per example in data
+    order."""
+    ns = np.flatnonzero(~scorer.sensitive)
+    candidates = np.split(ns, np.searchsorted(ns, scorer.offsets[1:-1]))
+    for t in range(trials):
+        rng = RngStream(seed, f"{label}/k{budget}/trial{t}")
+        active = scorer.sensitive.copy()
+        for c in candidates:
+            active[scheduler.random_draw(c, budget, rng)] = True
+        yield active
 
 
-def accuracy_at_budget(model, predictor, data, budget: int, strategy: str,
-                       rng: Optional[RngStream] = None) -> float:
-    if strategy == "topk":
-        return topk_curve(model, predictor, data, [budget])[budget]
-    if strategy == "random":
-        if rng is None:
-            raise ValueError("random strategy needs an rng")
-        return evaluate(model, data, random_provider(budget, rng))
-    raise ValueError(f"unknown strategy: {strategy}")
+def topk_curve(scorer: MaskScorer, predictor: ImportancePredictor, budgets) -> dict:
+    """Top-k accuracy per budget."""
+    return {k: scorer.accuracy(m) for k, m in topk_masks(scorer, predictor, budgets).items()}
 
 
-def _random_curve(model, data, budgets, trials, seed, label):
+def random_curve(scorer: MaskScorer, budgets, trials, seed, label):
     """Mean/std accuracy per budget over independent random-selection trials."""
     means, stds = {}, {}
     for k in budgets:
-        accs = []
-        for t in range(trials):
-            rng = RngStream(seed, f"{label}/k{k}/trial{t}")
-            accs.append(accuracy_at_budget(model, None, data, k, "random", rng))
+        accs = [scorer.accuracy(m) for m in random_masks(scorer, k, trials, seed, label)]
         means[k] = float(np.mean(accs))
         stds[k] = float(np.std(accs, ddof=1)) if trials > 1 else 0.0
     return means, stds
@@ -249,10 +251,11 @@ def run_budget_sweep(spec: ExperimentSpec, out_dir: str, model=None,
         bundle = prepare_data(spec)
     model, predictor = _load_artifacts(spec, out_dir, model, predictor)
     budgets = [int(k) for k in spec.sweep.budgets]
-    topk = topk_curve(model, predictor, bundle.test, budgets)
+    scorer = MaskScorer(model, bundle.test)
+    topk = topk_curve(scorer, predictor, budgets)
     rows = [(k, "topk", 1, topk[k], 0.0) for k in budgets]
-    rmeans, rstds = _random_curve(model, bundle.test, budgets, spec.sweep.trials,
-                                  spec.seed, "sweep-budget/random")
+    rmeans, rstds = random_curve(scorer, budgets, spec.sweep.trials,
+                                 spec.seed, "sweep-budget/random")
     for k in budgets:
         rows.append((k, "random", spec.sweep.trials, rmeans[k], rstds[k]))
     header = ["budget", "strategy", "trials", "accuracy_mean", "accuracy_std"]
@@ -265,14 +268,6 @@ def run_budget_sweep(spec: ExperimentSpec, out_dir: str, model=None,
 
 def _max_nonsensitive(data) -> int:
     return max(len(seq.nonsensitive_indices()) for seq, _ in data)
-
-
-def _strategy_curve(model, predictor, data, k_max, trials, seed, label):
-    """Accuracy per budget k = 0..k_max for both strategies."""
-    ks = list(range(0, k_max + 1))
-    topk = topk_curve(model, predictor, data, ks)
-    rmeans, _ = _random_curve(model, data, ks, trials, seed, label)
-    return ks, topk, rmeans
 
 
 def _min_tokens_to_peak(ks, curve) -> tuple:
@@ -298,13 +293,14 @@ def run_distance_sweep(spec: ExperimentSpec, out_dir: str, model=None,
         rng = RngStream(spec.seed, f"sweep-distance/channel/d{di}")
         m_uls.append(int(np.median(ch.budget_samples(params, rng, spec.sweep.channel_draws))))
     k_maxes = [min(m_ul, max_ns) for m_ul in m_uls]
+    scorer = MaskScorer(model, bundle.test)
     # one top-k curve up to the largest budget; each distance reads its prefix
-    topk = topk_curve(model, predictor, bundle.test, range(max(k_maxes, default=0) + 1))
+    topk = topk_curve(scorer, predictor, range(max(k_maxes, default=0) + 1))
     rows = []
     for di, (dist, m_ul, k_max) in enumerate(zip(spec.sweep.distances, m_uls, k_maxes)):
         ks = list(range(0, k_max + 1))
-        rmeans, _ = _random_curve(model, bundle.test, ks, spec.sweep.trials,
-                                  spec.seed, f"sweep-distance/random/d{di}")
+        rmeans, _ = random_curve(scorer, ks, spec.sweep.trials,
+                                 spec.seed, f"sweep-distance/random/d{di}")
         for strategy, curve in (("topk", topk), ("random", rmeans)):
             k_req, peak = _min_tokens_to_peak(ks, curve)
             rows.append((float(dist), m_ul, strategy, k_req, peak))
@@ -322,10 +318,11 @@ def run_target_accuracy(spec: ExperimentSpec, out_dir: str, model=None,
     if bundle is None:
         bundle = prepare_data(spec)
     model, predictor = _load_artifacts(spec, out_dir, model, predictor)
-    k_max = _max_nonsensitive(bundle.test)
-    ks, topk, rmeans = _strategy_curve(
-        model, predictor, bundle.test, k_max, spec.sweep.trials,
-        spec.seed, "target-accuracy/random")
+    ks = list(range(0, _max_nonsensitive(bundle.test) + 1))
+    scorer = MaskScorer(model, bundle.test)
+    topk = topk_curve(scorer, predictor, ks)
+    rmeans, _ = random_curve(scorer, ks, spec.sweep.trials, spec.seed,
+                             "target-accuracy/random")
     rows = []
     for target in spec.sweep.targets:
         for strategy, curve in (("topk", topk), ("random", rmeans)):

@@ -248,13 +248,18 @@ class MoEModel(T.Module):
 
         # training pools every token: skip the gather and its scatter-add backward
         rows = h_prime if active.size == n_tok else T.gather_rows(h_prime, active)
-        alpha, pooled = aggregate(rows, self.agg_w, seg[active], len(batch))
-        if c.use_layernorm:
-            pooled = T.layer_norm(pooled, self.ln_gain, self.ln_bias)
-        logits = T.matmul(pooled, self.w_o) + self.b_o
+        alpha, logits = self.classify(rows, seg[active], len(batch))
         return ForwardResult(logits=logits, alpha=alpha, active=active, z=z,
                              routed=routed, assign=assign, h=h, h_prime=h_prime,
                              mask=mask, seg=seg)
+
+    def classify(self, rows: Tensor, seg, n_examples: int) -> tuple:
+        """Pool expert-output rows per example (`seg`), then layer norm and
+        the linear head. Returns (alpha, logits (n_examples, C))."""
+        alpha, pooled = aggregate(rows, self.agg_w, seg, n_examples)
+        if self.config.use_layernorm:
+            pooled = T.layer_norm(pooled, self.ln_gain, self.ln_bias)
+        return alpha, T.matmul(pooled, self.w_o) + self.b_o
 
     def forward(self, seq: TokenSequence, rng: Optional[RngStream] = None,
                 active=None, mode: str = "eval") -> ForwardResult:
@@ -336,25 +341,59 @@ def active_set(seq: TokenSequence, decision) -> np.ndarray:
     return np.asarray(idx, dtype=np.intp)
 
 
-def evaluate(model: MoEModel, data, decision_provider: Optional[Callable] = None) -> float:
-    """Accuracy under optional per-example offload decisions. Examples whose
-    active set comes out empty count as incorrect; the rest are scored in
-    batches of up to 256."""
-    pending, acts = [], []
-    for i, (seq, label) in enumerate(data):
-        act = active_set(seq, decision_provider(i, seq) if decision_provider else None)
-        if act.size:
-            pending.append((seq, label))
-            acts.append(act)
-    correct = 0
-    with T.no_grad():
-        for s in range(0, len(pending), 256):
-            batch = pending[s:s + 256]
-            logits, _, _, _ = batch_forward(model, batch, mode="eval",
-                                            actives=acts[s:s + 256])
-            labels = np.asarray([label for _, label in batch])
-            correct += int(np.sum(logits.data.argmax(axis=1) == labels))
-    return correct / len(data)
+EVAL_CHUNK = 256  # examples pooled together; bounds aggregate's dense selector
+
+
+class MaskScorer:
+    """One eval forward over `data`, kept so that any choice of active tokens
+    can be scored by pooling alone.
+
+    In eval mode a token's gate and expert output depend on that token only,
+    so an offload decision changes only which expert-output rows are pooled.
+    A choice is a boolean mask over the tokens of `data` packed example after
+    example; example e owns tokens `offsets[e]:offsets[e + 1]`.
+    """
+
+    def __init__(self, model: MoEModel, data):
+        self.model = model
+        self.data = data
+        rows, mask = [], []
+        with T.no_grad():
+            for s in range(0, len(data), EVAL_CHUNK):
+                res = model.forward_batch(data[s:s + EVAL_CHUNK], mode="eval")
+                rows.append(res.h_prime.data)
+                mask.append(res.mask)
+        lengths = [seq.length for seq, _ in data]
+        self.offsets = np.cumsum([0] + lengths)
+        self.seg = np.repeat(np.arange(len(data)), lengths)
+        self.h_prime = np.concatenate(rows)
+        self.sensitive = np.concatenate(mask) == 1
+        self.labels = np.asarray([label for _, label in data])
+
+    def accuracy(self, active: np.ndarray) -> float:
+        """Accuracy when each example pools only its tokens marked in
+        `active`. Examples with no active token count as wrong; the rest are
+        pooled in chunks of up to EVAL_CHUNK examples."""
+        pos = np.flatnonzero(active)
+        seg = self.seg[pos]
+        present = np.flatnonzero(np.bincount(seg, minlength=len(self.data)))
+        local = np.zeros(len(self.data), dtype=np.intp)
+        local[present] = np.arange(present.size) % EVAL_CHUNK
+        correct = 0
+        with T.no_grad():
+            for s in range(0, present.size, EVAL_CHUNK):
+                examples = present[s:s + EVAL_CHUNK]
+                rows = (seg >= examples[0]) & (seg <= examples[-1])
+                _, logits = self.model.classify(Tensor(self.h_prime[pos[rows]]),
+                                                local[seg[rows]], examples.size)
+                correct += int(np.sum(logits.data.argmax(axis=1) == self.labels[examples]))
+        return correct / len(self.data)
+
+
+def evaluate(model: MoEModel, data) -> float:
+    """Accuracy with every token of every example pooled."""
+    scorer = MaskScorer(model, data)
+    return scorer.accuracy(np.ones(scorer.seg.size, dtype=bool))
 
 
 def train_model(

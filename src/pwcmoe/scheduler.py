@@ -51,16 +51,27 @@ def select_all(mask: Sequence[int]) -> OffloadDecision:
     return OffloadDecision(selected=ns, dropped=[], budget=len(ns), strategy="all")
 
 
+def topk_order(scores, mask: Sequence[int]) -> list:
+    """Positions of the non-sensitive tokens, highest score first; equal
+    scores go to the lower position."""
+    s = np.asarray(getattr(scores, "data", scores), dtype=float).reshape(-1).tolist()
+    return sorted(_nonsensitive(mask), key=lambda i: (-s[i], i))
+
+
+def random_draw(candidates, budget: int, rng: RngStream) -> np.ndarray:
+    """min(budget, len(candidates)) of `candidates`, uniformly without
+    replacement. An empty pick draws nothing from `rng`."""
+    k = min(budget, len(candidates))
+    return rng.choice(candidates, size=k, replace=False) if k else np.zeros(0, dtype=np.intp)
+
+
 def select_topk(scores, mask: Sequence[int], budget: int) -> OffloadDecision:
     """Highest-scoring non-sensitive tokens, ties broken by lower index."""
     if budget < 0:
         raise ValueError("budget must be nonnegative")
-    scores = np.asarray(getattr(scores, "data", scores), dtype=float).reshape(-1)
-    ns = _nonsensitive(mask)
-    k = min(budget, len(ns))
-    # sort by (-score, index): stable deterministic ranking
-    ranked = sorted(ns, key=lambda i: (-scores[i], i))
-    return _decision(ns, ranked[:k], budget, "topk")
+    ranked = topk_order(scores, mask)
+    return OffloadDecision(selected=ranked[:budget], dropped=ranked[budget:],
+                           budget=budget, strategy="topk")
 
 
 def select_random(mask: Sequence[int], budget: int, rng: RngStream) -> OffloadDecision:
@@ -68,8 +79,7 @@ def select_random(mask: Sequence[int], budget: int, rng: RngStream) -> OffloadDe
     if budget < 0:
         raise ValueError("budget must be nonnegative")
     ns = _nonsensitive(mask)
-    k = min(budget, len(ns))
-    chosen = sorted(int(i) for i in rng.choice(ns, size=k, replace=False)) if k else []
+    chosen = sorted(int(i) for i in random_draw(ns, budget, rng))
     return _decision(ns, chosen, budget, "random")
 
 

@@ -1,7 +1,9 @@
 import numpy as np
 import pytest
 
+from pwcmoe import moe, scheduler
 from pwcmoe import tensor as T
+from pwcmoe.rng import RngStream
 
 
 def finite_difference_check(loss_fn, params, step=1e-5, tol=1e-4):
@@ -40,3 +42,47 @@ def finite_difference_check(loss_fn, params, step=1e-5, tol=1e-4):
 @pytest.fixture
 def fd_check():
     return finite_difference_check
+
+
+def reference_accuracy(model, data, decide):
+    """Accuracy under one offload decision per example, `decide(i, seq)`
+    (None pools every token), scored one decision at a time: each example
+    pools `moe.active_set(seq, decision)` in a batched forward over those
+    tokens alone. Examples with nothing to pool count as wrong."""
+    pending, actives = [], []
+    for i, (seq, label) in enumerate(data):
+        act = moe.active_set(seq, decide(i, seq))
+        if act.size:
+            pending.append((seq, label))
+            actives.append(act)
+    correct = 0
+    with T.no_grad():
+        for s in range(0, len(pending), 256):
+            batch = pending[s:s + 256]
+            logits, _, _, _ = moe.batch_forward(model, batch, mode="eval",
+                                                actives=actives[s:s + 256])
+            labels = np.asarray([label for _, label in batch])
+            correct += int(np.sum(logits.data.argmax(axis=1) == labels))
+    return correct / len(data)
+
+
+def reference_topk_accuracy(model, predictor, data, budget):
+    """`reference_accuracy` under `scheduler.select_topk` on rescored tokens."""
+    def decide(i, seq):
+        emb = model.embedding.data[np.asarray(seq.ids)]
+        return scheduler.select_topk(predictor.scores_np(emb), seq.mask, budget)
+    return reference_accuracy(model, data, decide)
+
+
+def reference_random_means(model, data, budgets, trials, seed, label):
+    """Mean `reference_accuracy` per budget under `scheduler.select_random`,
+    trial t at budget k drawing from stream `{label}/k{k}/trial{t}`."""
+    means = {}
+    for k in budgets:
+        accs = []
+        for t in range(trials):
+            rng = RngStream(seed, f"{label}/k{k}/trial{t}")
+            accs.append(reference_accuracy(
+                model, data, lambda i, seq: scheduler.select_random(seq.mask, k, rng)))
+        means[k] = float(np.mean(accs))
+    return means

@@ -17,7 +17,8 @@ from pwcmoe.corpus import TokenSequence
 from pwcmoe.rng import RngStream
 from pwcmoe.tensor import Tensor
 
-from conftest import finite_difference_check
+from conftest import (finite_difference_check, reference_random_means,
+                      reference_topk_accuracy)
 
 SEED = 0
 
@@ -203,10 +204,8 @@ def test_criterion_06_predictor_dominance(trained, importance, bundle):
     pred, _, _ = importance
     full_acc = moe.evaluate(model, bundle.test)
     ks = list(range(1, 11))
-    topk = {k: harness.accuracy_at_budget(model, pred, bundle.test, k, "topk")
-            for k in ks}
-    rmeans, _ = harness._random_curve(model, bundle.test, ks, 5, SEED,
-                                      "accept/random")
+    topk = {k: reference_topk_accuracy(model, pred, bundle.test, k) for k in ks}
+    rmeans = reference_random_means(model, bundle.test, ks, 5, SEED, "accept/random")
     dominance = all(topk[k] >= rmeans[k] for k in ks)
     near_full = abs(topk[5] - full_acc) <= 0.01
     report(6, "predictor dominance (top-k >= random at every budget, k=5 ~ full)",

@@ -72,6 +72,11 @@ class TestMaskPrivacy:
         assert s | ns == set(range(seq.length))
         assert not (s & ns)
 
+    @given(st.text())
+    @settings(max_examples=200, deadline=None)
+    def test_digit_check_matches_per_character_form(self, text):
+        assert corpus.contains_digit(text) == any(c.isdigit() for c in text)
+
 
 class TestCsv:
     def test_roundtrip(self, tmp_path):

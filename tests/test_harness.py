@@ -5,8 +5,11 @@ import numpy as np
 import pytest
 
 from pwcmoe import channel, cli, config, harness, moe, scheduler
+from pwcmoe.corpus import TokenSequence
 from pwcmoe.predictor import ImportancePredictor
 from pwcmoe.rng import RngStream
+
+from conftest import reference_random_means, reference_topk_accuracy
 
 
 def tiny_spec(seed=0):
@@ -203,13 +206,10 @@ class TestTopkCurve:
     def test_matches_rescoring_at_every_budget(self, trained):
         _, _, bundle, model, predictor = trained
         budgets = [0, 1, 2, 4, 9]
-        curve = harness.topk_curve(model, predictor, bundle.test, budgets)
+        curve = harness.topk_curve(moe.MaskScorer(model, bundle.test), predictor, budgets)
         assert list(curve) == budgets
         for k in budgets:
-            def rescoring(i, seq):
-                emb = model.embedding.data[np.asarray(seq.ids)]
-                return scheduler.select_topk(predictor.scores_np(emb), seq.mask, k)
-            assert curve[k] == moe.evaluate(model, bundle.test, rescoring)
+            assert curve[k] == reference_topk_accuracy(model, predictor, bundle.test, k)
 
     @pytest.mark.parametrize("run", [harness.run_budget_sweep,
                                      harness.run_target_accuracy,
@@ -242,16 +242,71 @@ class TestTopkCurve:
                                                         spec.sweep.channel_draws)))
             ks = list(range(min(m_ul, max_ns) + 1))
             k_maxes.append(ks[-1])
-            topk = {k: harness.accuracy_at_budget(model, predictor, bundle.test, k, "topk")
+            topk = {k: reference_topk_accuracy(model, predictor, bundle.test, k)
                     for k in ks}
-            rmeans, _ = harness._random_curve(model, bundle.test, ks, spec.sweep.trials,
-                                              spec.seed, f"sweep-distance/random/d{di}")
+            rmeans = reference_random_means(model, bundle.test, ks, spec.sweep.trials,
+                                            spec.seed, f"sweep-distance/random/d{di}")
             for strategy, curve in (("topk", topk), ("random", rmeans)):
                 peak = max(curve.values())
                 k_req = next(k for k in ks if curve[k] >= peak - 1e-12)
                 expected.append((dist, m_ul, strategy, k_req, peak))
         assert len(set(k_maxes)) == len(k_maxes)  # each distance cuts elsewhere
         assert rows == expected
+
+
+class TiedScores:
+    """Stands in for the predictor: a token's score is its first embedding
+    value, so repeated token ids tie exactly."""
+
+    def scores_np(self, embeddings):
+        return embeddings[:, 0].copy()
+
+
+@pytest.fixture(scope="module")
+def tied():
+    model = moe.MoEModel(moe.MoEConfig(vocab_size=6, num_classes=2, d=4, num_experts=3,
+                                       num_privacy_experts=1, expert_hidden=5),
+                         RngStream(0, "tied"))
+    rng = np.random.default_rng(2)
+    data = []
+    for _ in range(30):
+        L = int(rng.integers(1, 12))
+        seq = TokenSequence(ids=[int(i) for i in rng.integers(2, 5, L)],
+                            mask=[int(m) for m in rng.random(L) < 0.3],
+                            tokens=["t"] * L)
+        data.append((seq, 0))
+    return moe.MaskScorer(model, data)
+
+
+def packed(scorer, actives):
+    out = np.zeros(scorer.sensitive.size, dtype=bool)
+    for act, off in zip(actives, scorer.offsets):
+        out[off + act] = True
+    return out
+
+
+class TestMasks:
+    def test_topk_mask_matches_select_topk_under_ties(self, tied):
+        emb = tied.model.embedding.data
+        scores = [TiedScores().scores_np(emb[seq.ids]) for seq, _ in tied.data]
+        assert any(len(set(s[np.asarray(seq.mask) == 0])) < seq.mask.count(0)
+                   for s, (seq, _) in zip(scores, tied.data))
+        ks = range(max(seq.mask.count(0) for seq, _ in tied.data) + 3)
+        masks = harness.topk_masks(tied, TiedScores(), ks)
+        for k in ks:
+            decisions = [scheduler.select_topk(s, seq.mask, k)
+                         for s, (seq, _) in zip(scores, tied.data)]
+            assert np.array_equal(masks[k], packed(tied, [
+                moe.active_set(seq, d) for (seq, _), d in zip(tied.data, decisions)]))
+
+    @pytest.mark.parametrize("k", [0, 1, 4, 20])
+    def test_random_mask_matches_select_random(self, tied, k):
+        masks = list(harness.random_masks(tied, k, 2, 3, "r"))
+        for t, mask in enumerate(masks):
+            rng = RngStream(3, f"r/k{k}/trial{t}")
+            actives = [moe.active_set(seq, scheduler.select_random(seq.mask, k, rng))
+                       for seq, _ in tied.data]
+            assert np.array_equal(mask, packed(tied, actives))
 
 
 class TestCli:
@@ -317,6 +372,22 @@ class TestCli:
                           "predictor_metrics.csv", "eval_metrics.csv",
                           "budget_sweep.csv", "target_accuracy.csv",
                           "distance_sweep.csv"]
+
+    @pytest.mark.parametrize("line, message", [
+        ("seed = abc", "bad value for seed"),
+        ("sweep.trials = 0", "sweep.trials must be >= 1"),
+        ("sweep.budgets = 1,-2", "sweep.budgets: -2 is not an integer >= 0"),
+        ("sweep.budgets = 1,2.5", "sweep.budgets: 2.5 is not an integer >= 0"),
+        ("sweep.channel_draws = 0", "sweep.channel_draws must be >= 1"),
+        ("data.max_len = 0", "data.max_len must be >= 1"),
+    ])
+    def test_bad_config_value_exits_1_with_one_line(self, tmp_path, capsys, line, message):
+        cfg = tmp_path / "bad.cfg"
+        cfg.write_text(TINY_CONFIG_TEXT + line + "\n")
+        assert cli.run(["sweep-budget", "--config", str(cfg), "--out", str(tmp_path)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and message in err
+        assert err.count("\n") == 1
 
     def test_seed_flag_overrides_config(self, tmp_path):
         cfg = tmp_path / "s.cfg"

@@ -7,6 +7,7 @@ from pwcmoe import moe
 from pwcmoe import tensor as T
 from pwcmoe.corpus import TokenSequence
 from pwcmoe.rng import RngStream
+from pwcmoe.scheduler import select_topk
 from pwcmoe.tensor import Tensor
 
 
@@ -247,19 +248,12 @@ class TestBatchForward:
             assert np.allclose(logits.data[e], single.logits.data.reshape(-1),
                                atol=1e-10)
 
-        from pwcmoe.scheduler import OffloadDecision
-
-        def provider(i, seq):
-            if i == 0:
-                return OffloadDecision(selected=[0], dropped=[1], budget=1,
-                                       strategy="x")
-            return None
-
         labels = [0, 1]
         data = [(seq_a, labels[0]), (seq_b, labels[1])]
         per_example = np.mean([int(s.logits.data.argmax()) == lb
                                for s, lb in zip(singles, labels)])
-        assert moe.evaluate(tiny_model, data, provider) == per_example
+        active = np.array([True, False, True, True, True])
+        assert moe.MaskScorer(tiny_model, data).accuracy(active) == per_example
 
 
 class TestEvaluate:
@@ -270,13 +264,34 @@ class TestEvaluate:
 
     def test_empty_active_counts_incorrect(self, tiny_model):
         data = [(make_seq([2, 3], [0, 0]), 0)]
+        scorer = moe.MaskScorer(tiny_model, data)
+        assert scorer.accuracy(np.zeros(2, dtype=bool)) == 0.0
 
-        def provider(i, seq):
-            from pwcmoe.scheduler import OffloadDecision
-            return OffloadDecision(selected=[], dropped=[0, 1], budget=0,
-                                   strategy="none")
-
-        assert moe.evaluate(tiny_model, data, provider) == 0.0
+    def test_scorer_matches_per_example_forward(self, tiny_model):
+        # 300 examples span two pooling chunks; all-non-sensitive examples
+        # have nothing to pool at budget 0, and budget 12 exceeds every
+        # example's non-sensitive count
+        rng = np.random.default_rng(5)
+        data, scores = [], []
+        for e in range(300):
+            L = int(rng.integers(1, 11))
+            mask = np.zeros(L, dtype=int) if e % 7 == 0 else rng.integers(0, 2, L)
+            data.append((make_seq(rng.integers(0, 12, L), mask), int(rng.integers(0, 3))))
+            scores.append(rng.random(L))
+        scorer = moe.MaskScorer(tiny_model, data)
+        for budget in (0, 1, 3, 12):
+            actives = [moe.active_set(seq, select_topk(sc, seq.mask, budget))
+                       for (seq, _), sc in zip(data, scores)]
+            mask = np.zeros(scorer.seg.size, dtype=bool)
+            correct = 0
+            for (seq, label), act, off in zip(data, actives, scorer.offsets):
+                mask[off + act] = True
+                if act.size:
+                    logits = tiny_model.forward(seq, active=act).logits.data
+                    correct += int(logits.argmax()) == label
+            if budget == 0:
+                assert sum(act.size == 0 for act in actives) >= 40
+            assert scorer.accuracy(mask) == correct / len(data)
 
     def test_active_set_union(self):
         from pwcmoe.scheduler import OffloadDecision
