@@ -1,11 +1,10 @@
 #!/usr/bin/env python3
-"""Run the full experiment pipeline into one output directory:
+"""Run the full experiment pipeline into one output directory: every stage of
+the `pwcmoe` CLI but channel-probe, in `cli.MODES` order (train, distill the
+predictor, evaluate, then the three sweeps).
 
-train -> train-predictor -> eval -> sweep-budget -> sweep-distance
--> target-accuracy
-
-Equivalent to invoking the `pwcmoe` CLI once per stage, but reuses the
-in-memory model and dataset between stages, so it is considerably faster.
+Each stage reads what the earlier ones wrote there, exactly as when the CLI
+is invoked once per stage. Exits with the first non-zero stage exit code.
 """
 
 import argparse
@@ -14,41 +13,32 @@ import sys
 
 sys.path.insert(0, os.path.join(os.path.dirname(__file__), "..", "src"))
 
-from pwcmoe import harness, moe
-from pwcmoe.config import ExperimentSpec, load_config
+from pwcmoe import cli
 
 
-def main():
+def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument("--config", default=None, help="key = value config file")
     parser.add_argument("--seed", type=int, default=None)
     parser.add_argument("--out", default="runs/pipeline")
     parser.add_argument("--emit-gnuplot", action="store_true")
-    args = parser.parse_args()
+    args = parser.parse_args(argv)
 
-    spec = load_config(args.config) if args.config else ExperimentSpec()
+    common = ["--out", args.out]
+    if args.config:
+        common += ["--config", args.config]
     if args.seed is not None:
-        spec.seed = args.seed
-    os.makedirs(args.out, exist_ok=True)
-
-    bundle = harness.prepare_data(spec)
-    print(f"dataset: {len(bundle.train)} train / {len(bundle.test)} test, "
-          f"vocab {len(bundle.vocab)}, {bundle.num_classes} classes")
-
-    model, _ = harness.run_train(spec, args.out)
-    predictor, _ = harness.run_train_predictor(spec, args.out, model=model,
-                                               bundle=bundle)
-    acc = harness.run_eval(spec, args.out, model=model, bundle=bundle)
-    print(f"test accuracy (all tokens): {acc:.4f}")
-
-    harness.run_budget_sweep(spec, args.out, model=model, predictor=predictor,
-                             bundle=bundle, emit_gnuplot=args.emit_gnuplot)
-    harness.run_distance_sweep(spec, args.out, model=model, predictor=predictor,
-                               bundle=bundle, emit_gnuplot=args.emit_gnuplot)
-    harness.run_target_accuracy(spec, args.out, model=model, predictor=predictor,
-                                bundle=bundle, emit_gnuplot=args.emit_gnuplot)
+        common += ["--seed", str(args.seed)]
+    for stage in cli.MODES:
+        if stage == "channel-probe":
+            continue
+        plot = ["--emit-gnuplot"] if args.emit_gnuplot and stage in cli.PLOT_MODES else []
+        rc = cli.run([stage] + common + plot)
+        if rc != 0:
+            return rc
     print(f"artifacts written to {args.out}")
+    return 0
 
 
 if __name__ == "__main__":
-    main()
+    sys.exit(main())

@@ -107,15 +107,3 @@ def load_params(path: str, magic: bytes, model_cls, config_cls):
             raise KeyError(f"{path}: missing parameter array {k!r}")
         p.data = np.asarray(arrays[k], dtype=np.float64).reshape(p.data.shape)
     return model
-
-
-def save_embeddings(path: str, matrix) -> None:
-    """Array container holding a vocab x d embedding matrix."""
-    save_container(path, MAGIC_MODEL, {"kind": "embeddings"}, {"embeddings": matrix})
-
-
-def load_embeddings(path: str):
-    _, arrays = load_container(path, MAGIC_MODEL)
-    if "embeddings" not in arrays:
-        raise CheckpointError(f"{path}: no 'embeddings' array")
-    return arrays["embeddings"]

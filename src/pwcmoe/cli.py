@@ -28,6 +28,7 @@ class _UserErrorParser(argparse.ArgumentParser):
 
 MODES = ["train", "train-predictor", "eval", "sweep-budget", "sweep-distance",
          "target-accuracy", "channel-probe"]
+PLOT_MODES = ("sweep-budget", "sweep-distance", "target-accuracy")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -38,7 +39,7 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--config", default=None, help="key = value config file")
         p.add_argument("--seed", type=int, default=None, help="master seed")
         p.add_argument("--out", default=".", help="output directory")
-        if mode.startswith("sweep") or mode == "target-accuracy":
+        if mode in PLOT_MODES:
             p.add_argument("--emit-gnuplot", action="store_true",
                            help="also write gnuplot stubs next to the CSVs")
     return parser

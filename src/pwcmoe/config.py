@@ -37,9 +37,7 @@ class ModelSpec:
     momentum: float = 0.9
     epochs: int = 40
     batch_size: int = 32
-    use_layernorm: bool = True
     checkpoint: str = "model.pwcm"
-    embedding_import: str = ""
 
 
 @dataclass
@@ -154,14 +152,17 @@ def spec_from_entries(entries: dict) -> ExperimentSpec:
 
 
 def _check_ranges(spec: ExperimentSpec):
-    """Reject values the sweeps cannot run on. A negative budget would select
-    nothing, and zero trials would average an empty list."""
+    """Reject values the stages cannot run on. A negative budget would select
+    nothing, zero trials would average an empty list, and an empty split
+    would train on no batches or score no examples."""
     for k in spec.sweep.budgets:
         if not isinstance(k, int) or k < 0:
             raise ConfigError(f"sweep.budgets: {k!r} is not an integer >= 0")
     for key, value in (("sweep.trials", spec.sweep.trials),
                        ("sweep.channel_draws", spec.sweep.channel_draws),
-                       ("data.max_len", spec.data.max_len)):
+                       ("data.max_len", spec.data.max_len),
+                       ("data.synth_train", spec.data.synth_train),
+                       ("data.synth_test", spec.data.synth_test)):
         if value < 1:
             raise ConfigError(f"{key} must be >= 1, got {value}")
 

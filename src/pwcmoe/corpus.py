@@ -138,6 +138,8 @@ def load_csv(path: str, num_classes: Optional[int] = None) -> list:
             if label < 0 or (num_classes is not None and label >= num_classes):
                 raise ValueError(f"{path}: label {label} out of range at line {lineno}")
             examples.append(Example(text=text, label=label))
+    if not examples:
+        raise ValueError(f"{path}: no examples")
     return examples
 
 

@@ -18,7 +18,7 @@ import numpy as np
 from . import channel as ch
 from . import corpus, scheduler
 from . import tensor as T
-from .checkpoint import FORMAT_VERSION, load_embeddings
+from .checkpoint import FORMAT_VERSION
 from .config import ExperimentSpec, config_hash
 from .moe import (MaskScorer, MoEConfig, MoEModel, active_set, evaluate,
                   load_model, save_model, train_model)
@@ -114,19 +114,9 @@ def build_model(spec: ExperimentSpec, bundle: DataBundle) -> MoEModel:
         num_experts=m.experts, num_privacy_experts=m.privacy_experts,
         expert_hidden=m.expert_hidden, tau=m.tau, lambda_lb=m.lambda_lb,
         learning_rate=m.learning_rate, momentum=m.momentum, epochs=m.epochs,
-        batch_size=m.batch_size, use_layernorm=m.use_layernorm,
+        batch_size=m.batch_size,
     )
-    model = MoEModel(cfg, RngStream(spec.seed, "model"))
-    if m.embedding_import:
-        emb = load_embeddings(m.embedding_import)
-        if emb.shape != model.embedding.data.shape:
-            raise ValueError(
-                f"imported embeddings shape {emb.shape} != "
-                f"expected {model.embedding.data.shape}"
-            )
-        model.embedding.data = emb
-        model.embedding.requires_grad = False
-    return model
+    return MoEModel(cfg, RngStream(spec.seed, "model"))
 
 
 def predictor_config(spec: ExperimentSpec) -> PredictorConfig:
@@ -202,6 +192,19 @@ def random_curve(scorer: MaskScorer, budgets, trials, seed, label):
 
 
 # -- experiment modes ------------------------------------------------------
+#
+# Stages pass models to each other only through the run directory: every
+# stage after `run_train` reads the data and the checkpoints it needs there.
+
+def _load_artifacts(spec: ExperimentSpec, out_dir: str, predictor: bool = False):
+    """(bundle, model, predictor or None): the data of `spec`, the model
+    checkpoint in `out_dir` and, when asked, the predictor checkpoint."""
+    bundle = prepare_data(spec)
+    model = load_model(os.path.join(out_dir, spec.model.checkpoint))
+    pred = (load_predictor(os.path.join(out_dir, spec.predictor.checkpoint))
+            if predictor else None)
+    return bundle, model, pred
+
 
 def run_train(spec: ExperimentSpec, out_dir: str, log=print):
     bundle = prepare_data(spec)
@@ -214,14 +217,11 @@ def run_train(spec: ExperimentSpec, out_dir: str, log=print):
               [(r, a, l) for r, a, l in
                zip(trace.rounds, trace.test_accuracy, trace.mean_loss)])
     write_manifest(out_dir, spec, [spec.model.checkpoint, "train_metrics.csv"])
-    return model, trace
+    return trace
 
 
-def run_train_predictor(spec: ExperimentSpec, out_dir: str, model=None, bundle=None, log=print):
-    if bundle is None:
-        bundle = prepare_data(spec)
-    if model is None:
-        model = load_model(os.path.join(out_dir, spec.model.checkpoint))
+def run_train_predictor(spec: ExperimentSpec, out_dir: str, log=print):
+    bundle, model, _ = _load_artifacts(spec, out_dir)
     records = collect_dataset(model, bundle.train)
     predictor, trace = train_predictor(records, predictor_config(spec), spec.seed, log=log)
     save_predictor(predictor, os.path.join(out_dir, spec.predictor.checkpoint))
@@ -229,14 +229,11 @@ def run_train_predictor(spec: ExperimentSpec, out_dir: str, model=None, bundle=N
     write_csv(csv_path, ["epoch", "mean_kl"],
               list(zip(trace.epochs, trace.mean_kl)))
     write_manifest(out_dir, spec, [spec.predictor.checkpoint, "predictor_metrics.csv"])
-    return predictor, trace
+    return trace
 
 
-def run_eval(spec: ExperimentSpec, out_dir: str, model=None, bundle=None):
-    if bundle is None:
-        bundle = prepare_data(spec)
-    if model is None:
-        model = load_model(os.path.join(out_dir, spec.model.checkpoint))
+def run_eval(spec: ExperimentSpec, out_dir: str):
+    bundle, model, _ = _load_artifacts(spec, out_dir)
     acc = evaluate(model, bundle.test)
     write_csv(os.path.join(out_dir, "eval_metrics.csv"),
               ["metric", "value"], [("test_accuracy", acc)])
@@ -244,12 +241,9 @@ def run_eval(spec: ExperimentSpec, out_dir: str, model=None, bundle=None):
     return acc
 
 
-def run_budget_sweep(spec: ExperimentSpec, out_dir: str, model=None,
-                     predictor=None, bundle=None, emit_gnuplot=False):
+def run_budget_sweep(spec: ExperimentSpec, out_dir: str, emit_gnuplot=False):
     """Accuracy vs per-example uplink budget, predictor top-k vs random."""
-    if bundle is None:
-        bundle = prepare_data(spec)
-    model, predictor = _load_artifacts(spec, out_dir, model, predictor)
+    bundle, model, predictor = _load_artifacts(spec, out_dir, predictor=True)
     budgets = [int(k) for k in spec.sweep.budgets]
     scorer = MaskScorer(model, bundle.test)
     topk = topk_curve(scorer, predictor, budgets)
@@ -278,13 +272,10 @@ def _min_tokens_to_peak(ks, curve) -> tuple:
     return ks[-1], peak
 
 
-def run_distance_sweep(spec: ExperimentSpec, out_dir: str, model=None,
-                       predictor=None, bundle=None, emit_gnuplot=False):
+def run_distance_sweep(spec: ExperimentSpec, out_dir: str, emit_gnuplot=False):
     """Per distance: median token budget, then the minimum budget each
     strategy needs to reach its own peak accuracy within that budget."""
-    if bundle is None:
-        bundle = prepare_data(spec)
-    model, predictor = _load_artifacts(spec, out_dir, model, predictor)
+    bundle, model, predictor = _load_artifacts(spec, out_dir, predictor=True)
     max_ns = _max_nonsensitive(bundle.test)
     base = spec.channel.params(spec.model.d)
     m_uls = []
@@ -312,12 +303,9 @@ def run_distance_sweep(spec: ExperimentSpec, out_dir: str, model=None,
     return rows
 
 
-def run_target_accuracy(spec: ExperimentSpec, out_dir: str, model=None,
-                        predictor=None, bundle=None, emit_gnuplot=False):
+def run_target_accuracy(spec: ExperimentSpec, out_dir: str, emit_gnuplot=False):
     """Smallest per-example budget reaching each target accuracy."""
-    if bundle is None:
-        bundle = prepare_data(spec)
-    model, predictor = _load_artifacts(spec, out_dir, model, predictor)
+    bundle, model, predictor = _load_artifacts(spec, out_dir, predictor=True)
     ks = list(range(0, _max_nonsensitive(bundle.test) + 1))
     scorer = MaskScorer(model, bundle.test)
     topk = topk_curve(scorer, predictor, ks)
@@ -357,11 +345,3 @@ def run_channel_probe(spec: ExperimentSpec, out=print):
     out(f"rate_bps = {real.rate_bps:.6g}")
     out(f"m_ul = {real.m_ul}")
     return real
-
-
-def _load_artifacts(spec, out_dir, model, predictor):
-    if model is None:
-        model = load_model(os.path.join(out_dir, spec.model.checkpoint))
-    if predictor is None:
-        predictor = load_predictor(os.path.join(out_dir, spec.predictor.checkpoint))
-    return model, predictor

@@ -37,7 +37,6 @@ class MoEConfig:
     momentum: float = 0.9
     epochs: int = 40
     batch_size: int = 32
-    use_layernorm: bool = True
 
     def __post_init__(self):
         if not (1 <= self.num_privacy_experts < self.num_experts):
@@ -94,10 +93,6 @@ def hard_select(z: Tensor, g_prime: Tensor, gamma: np.ndarray):
     one_hot = np.zeros_like(z.data)
     one_hot[np.arange(len(assign)), assign] = 1.0
     return T.straight_through(z, one_hot), assign
-
-
-def total_loss(task: Tensor, lb: Tensor, lambda_lb: float) -> Tensor:
-    return task + lb * lambda_lb
 
 
 def aggregate(rows: Tensor, w: Tensor, seg, n_segments: int) -> tuple:
@@ -257,8 +252,7 @@ class MoEModel(T.Module):
         """Pool expert-output rows per example (`seg`), then layer norm and
         the linear head. Returns (alpha, logits (n_examples, C))."""
         alpha, pooled = aggregate(rows, self.agg_w, seg, n_examples)
-        if self.config.use_layernorm:
-            pooled = T.layer_norm(pooled, self.ln_gain, self.ln_bias)
+        pooled = T.layer_norm(pooled, self.ln_gain, self.ln_bias)
         return alpha, T.matmul(pooled, self.w_o) + self.b_o
 
     def forward(self, seq: TokenSequence, rng: Optional[RngStream] = None,
@@ -268,13 +262,14 @@ class MoEModel(T.Module):
         return self.forward_batch([(seq, None)], rng=rng, mode=mode,
                                   actives=None if active is None else [active])
 
-    def example_loss(self, seq: TokenSequence, label: int,
-                     rng: Optional[RngStream] = None, mode: str = "train"):
-        res = self.forward(seq, rng=rng, mode=mode)
-        task = T.tmean(T.cross_entropy_batch(res.logits, [label]))
-        lb = batch_load_balance(res.z, res.mask, res.seg, 1,
+    def loss(self, batch, rng: Optional[RngStream] = None, mode: str = "train"):
+        """(loss, ForwardResult) over a list of (seq, label) pairs: mean
+        cross-entropy plus `lambda_lb` times the load-balancing loss."""
+        res = self.forward_batch(batch, rng=rng, mode=mode)
+        task = T.tmean(T.cross_entropy_batch(res.logits, [label for _, label in batch]))
+        lb = batch_load_balance(res.z, res.mask, res.seg, len(batch),
                                 self.config.num_privacy_experts)
-        return total_loss(task, lb, self.config.lambda_lb), res
+        return task + lb * self.config.lambda_lb, res
 
 
 def _concat_batch(batch, actives=None):
@@ -421,12 +416,7 @@ def train_model(
         for start in range(0, n, c.batch_size):
             batch = [train_data[i] for i in order[start:start + c.batch_size]]
             model.zero_grad()
-            logits, z, mask_all, seg = batch_forward(model, batch, rng=noise_rng,
-                                                     mode="train")
-            task = T.tmean(T.cross_entropy_batch(logits, [lb for _, lb in batch]))
-            lb = batch_load_balance(z, mask_all, seg, len(batch),
-                                    c.num_privacy_experts)
-            batch_loss = total_loss(task, lb, c.lambda_lb)
+            batch_loss, _ = model.loss(batch, rng=noise_rng)
             if not np.isfinite(batch_loss.item()):
                 raise T.DivergenceError(f"loss diverged (NaN/Inf) at round {epoch + 1}")
             T.backward(batch_loss)

@@ -1,8 +1,8 @@
 """Token offloading: choose which non-sensitive tokens to transmit under a
 per-example uplink budget.
 
-Strategies: predictor-score top-k, uniform random (baseline), exhaustive
-enumeration (oracle, tiny instances only), and send-all.
+Strategies: predictor-score top-k, uniform random (baseline) and exhaustive
+enumeration (oracle, tiny instances only).
 """
 
 from __future__ import annotations
@@ -44,11 +44,6 @@ def _decision(ns: list, chosen, budget: int, strategy: str) -> OffloadDecision:
     kept = set(chosen)
     return OffloadDecision(selected=chosen, dropped=[i for i in ns if i not in kept],
                            budget=budget, strategy=strategy)
-
-
-def select_all(mask: Sequence[int]) -> OffloadDecision:
-    ns = _nonsensitive(mask)
-    return OffloadDecision(selected=ns, dropped=[], budget=len(ns), strategy="all")
 
 
 def topk_order(scores, mask: Sequence[int]) -> list:

@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import contextlib
 import math
-from typing import Iterable
 
 import numpy as np
 
@@ -503,12 +502,3 @@ def backward(loss: Tensor):
     for node in reversed(topo):
         if node._backward_fn is not None:
             node._backward_fn(node.grad)
-
-
-def assert_finite(t: Tensor, name: str = "tensor"):
-    if not np.all(np.isfinite(t.data)):
-        raise FloatingPointError(f"{name} contains NaN/Inf")
-
-
-def parameters_finite(params: Iterable[Tensor]) -> bool:
-    return all(np.all(np.isfinite(p.data)) for p in params)

@@ -85,7 +85,7 @@ def test_criterion_01_gradient_integrity():
     seq = make_seq([2, 5, 7], [1, 0, 0])
 
     def moe_loss():
-        loss, _ = model.example_loss(seq, 1, mode="soft")
+        loss, _ = model.loss([(seq, 1)], mode="soft")
         return loss
 
     worst_moe = finite_difference_check(moe_loss, model.parameters(), tol=1e-3)
@@ -216,7 +216,7 @@ def test_criterion_06_predictor_dominance(trained, importance, bundle):
 
 # -- 7. token-efficiency orderings -----------------------------------------
 
-def test_criterion_07_token_efficiency(trained, importance, bundle, tmp_path):
+def test_criterion_07_token_efficiency(trained, importance, tmp_path):
     model, _ = trained
     pred, _, _ = importance
     spec = main_spec()
@@ -224,9 +224,10 @@ def test_criterion_07_token_efficiency(trained, importance, bundle, tmp_path):
     spec.sweep.distances = [100.0, 400.0, 1600.0, 6400.0, 25600.0]
     spec.sweep.targets = [0.5, 0.7, 0.9, 0.99]
     out = str(tmp_path)
+    moe.save_model(model, os.path.join(out, spec.model.checkpoint))
+    predictor.save_predictor(pred, os.path.join(out, spec.predictor.checkpoint))
 
-    drows = harness.run_distance_sweep(spec, out, model=model, predictor=pred,
-                                       bundle=bundle)
+    drows = harness.run_distance_sweep(spec, out)
     m_uls = [r[1] for r in drows[::2]]
     m_ul_monotone = m_uls == sorted(m_uls, reverse=True)
     by_dist = {}
@@ -234,8 +235,7 @@ def test_criterion_07_token_efficiency(trained, importance, bundle, tmp_path):
         by_dist.setdefault(dist, {})[strategy] = k_req
     peak_ordering = all(v["topk"] <= v["random"] for v in by_dist.values())
 
-    trows = harness.run_target_accuracy(spec, out, model=model, predictor=pred,
-                                        bundle=bundle)
+    trows = harness.run_target_accuracy(spec, out)
     by_target = {}
     for target, strategy, k_req, reachable, _, _ in trows:
         by_target.setdefault(target, {})[strategy] = (reachable, k_req)

@@ -1,5 +1,7 @@
 import dataclasses
+import importlib.util
 import os
+import shutil
 
 import numpy as np
 import pytest
@@ -96,11 +98,18 @@ class TestConfig:
 def trained(tmp_path_factory):
     out = str(tmp_path_factory.mktemp("run"))
     spec = tiny_spec()
-    bundle = harness.prepare_data(spec)
-    model, _ = harness.run_train(spec, out, log=lambda s: None)
-    predictor, _ = harness.run_train_predictor(spec, out, model=model,
-                                               bundle=bundle, log=lambda s: None)
+    harness.run_train(spec, out, log=lambda s: None)
+    harness.run_train_predictor(spec, out, log=lambda s: None)
+    bundle, model, predictor = harness._load_artifacts(spec, out, predictor=True)
     return spec, out, bundle, model, predictor
+
+
+def run_dir(trained, tmp_path) -> str:
+    """`tmp_path` holding the trained model and predictor checkpoints."""
+    spec, out = trained[:2]
+    for name in (spec.model.checkpoint, spec.predictor.checkpoint):
+        shutil.copy(os.path.join(out, name), tmp_path)
+    return str(tmp_path)
 
 
 class TestCollaborativeForward:
@@ -151,11 +160,9 @@ class TestRuns:
         assert f"config_sha256 = {config.config_hash(spec)}" in manifest
 
     def test_budget_sweep_output(self, trained, tmp_path):
-        spec, _, bundle, model, predictor = trained
-        out = str(tmp_path)
-        rows = harness.run_budget_sweep(spec, out, model=model,
-                                        predictor=predictor, bundle=bundle,
-                                        emit_gnuplot=True)
+        spec = trained[0]
+        out = run_dir(trained, tmp_path)
+        rows = harness.run_budget_sweep(spec, out, emit_gnuplot=True)
         lines = open(os.path.join(out, "budget_sweep.csv")).read().splitlines()
         assert lines[0] == "budget,strategy,trials,accuracy_mean,accuracy_std"
         assert len(rows) == 2 * len(spec.sweep.budgets)
@@ -164,19 +171,15 @@ class TestRuns:
             assert 0.0 <= acc <= 1.0 and std >= 0.0
 
     def test_distance_sweep_output(self, trained, tmp_path):
-        spec, _, bundle, model, predictor = trained
-        rows = harness.run_distance_sweep(spec, str(tmp_path), model=model,
-                                          predictor=predictor, bundle=bundle)
+        rows = harness.run_distance_sweep(trained[0], run_dir(trained, tmp_path))
         assert {r[2] for r in rows} == {"topk", "random"}
         for _, m_ul, _, k_req, _ in rows:
             assert 0 <= k_req <= max(m_ul, 0) or k_req == 0
 
     def test_target_accuracy_output(self, trained, tmp_path):
-        spec, _, bundle, model, predictor = trained
         spec2 = tiny_spec()
         spec2.sweep.targets = [0.0, 1.1]  # always / never reachable
-        rows = harness.run_target_accuracy(spec2, str(tmp_path), model=model,
-                                           predictor=predictor, bundle=bundle)
+        rows = harness.run_target_accuracy(spec2, run_dir(trained, tmp_path))
         reach = {(r[0], r[1]): r[3] for r in rows}
         assert reach[(0.0, "topk")] == 1
         assert reach[(1.1, "topk")] == 0
@@ -215,7 +218,7 @@ class TestTopkCurve:
                                      harness.run_target_accuracy,
                                      harness.run_distance_sweep])
     def test_sweep_scores_each_example_once(self, trained, tmp_path, monkeypatch, run):
-        _, _, bundle, model, predictor = trained
+        bundle = trained[2]
         calls = []
         scores_np = ImportancePredictor.scores_np
 
@@ -224,15 +227,13 @@ class TestTopkCurve:
             return scores_np(self, embeddings)
 
         monkeypatch.setattr(ImportancePredictor, "scores_np", counting)
-        run(multi_distance_spec(), str(tmp_path), model=model, predictor=predictor,
-            bundle=bundle)
+        run(multi_distance_spec(), run_dir(trained, tmp_path))
         assert len(calls) == len(bundle.test)
 
     def test_distance_rows_match_a_curve_per_distance(self, trained, tmp_path):
         _, _, bundle, model, predictor = trained
         spec = multi_distance_spec()
-        rows = harness.run_distance_sweep(spec, str(tmp_path), model=model,
-                                          predictor=predictor, bundle=bundle)
+        rows = harness.run_distance_sweep(spec, run_dir(trained, tmp_path))
         max_ns = max(len(seq.nonsensitive_indices()) for seq, _ in bundle.test)
         expected, k_maxes = [], []
         for di, dist in enumerate(spec.sweep.distances):
@@ -380,14 +381,39 @@ class TestCli:
         ("sweep.budgets = 1,2.5", "sweep.budgets: 2.5 is not an integer >= 0"),
         ("sweep.channel_draws = 0", "sweep.channel_draws must be >= 1"),
         ("data.max_len = 0", "data.max_len must be >= 1"),
+        ("data.synth_train = 0", "data.synth_train must be >= 1"),
+        ("data.synth_test = 0", "data.synth_test must be >= 1"),
+        pytest.param("data.source = csv\ndata.csv_train = {tmp}/header_only.csv\n"
+                     "data.csv_test = {tmp}/header_only.csv",
+                     "header_only.csv: no examples", id="header-only-csv"),
     ])
     def test_bad_config_value_exits_1_with_one_line(self, tmp_path, capsys, line, message):
+        (tmp_path / "header_only.csv").write_text("text,label\n")
         cfg = tmp_path / "bad.cfg"
-        cfg.write_text(TINY_CONFIG_TEXT + line + "\n")
+        cfg.write_text(TINY_CONFIG_TEXT + line.format(tmp=tmp_path) + "\n")
         assert cli.run(["sweep-budget", "--config", str(cfg), "--out", str(tmp_path)]) == 1
         err = capsys.readouterr().err
         assert err.startswith("error: ") and message in err
         assert err.count("\n") == 1
+
+    def test_pipeline_script_matches_staged_cli(self, tmp_path, capsys):
+        root = os.path.join(os.path.dirname(__file__), "..")
+        cfg = os.path.join(root, "configs", "tiny.cfg")
+        module_spec = importlib.util.spec_from_file_location(
+            "run_pipeline", os.path.join(root, "scripts", "run_pipeline.py"))
+        pipeline = importlib.util.module_from_spec(module_spec)
+        module_spec.loader.exec_module(pipeline)
+        piped, staged = str(tmp_path / "pipeline"), str(tmp_path / "staged")
+        assert pipeline.main(["--config", cfg, "--out", piped]) == 0
+        for mode in ["train", "train-predictor", "eval", "sweep-budget",
+                     "sweep-distance", "target-accuracy"]:
+            assert cli.run([mode, "--config", cfg, "--out", staged]) == 0
+        names = sorted(os.listdir(staged))
+        assert sorted(os.listdir(piped)) == names and len(names) == 9
+        for name in names:
+            with open(os.path.join(piped, name), "rb") as a, \
+                    open(os.path.join(staged, name), "rb") as b:
+                assert a.read() == b.read(), f"{name} differs"
 
     def test_seed_flag_overrides_config(self, tmp_path):
         cfg = tmp_path / "s.cfg"

@@ -19,7 +19,7 @@ def make_seq(ids, mask):
 def tiny_config(**kw):
     base = dict(vocab_size=12, num_classes=3, d=4, num_experts=3,
                 num_privacy_experts=1, expert_hidden=5, tau=1.0,
-                lambda_lb=0.01, use_layernorm=True)
+                lambda_lb=0.01)
     base.update(kw)
     return moe.MoEConfig(**base)
 
@@ -185,7 +185,7 @@ class TestForward:
         seq = make_seq([2, 5, 7], [1, 0, 0])
 
         def loss_fn():
-            loss, _ = model.example_loss(seq, 1, mode="soft")
+            loss, _ = model.loss([(seq, 1)], mode="soft")
             return loss
 
         fd_check(loss_fn, model.parameters(), tol=1e-4)
@@ -193,8 +193,7 @@ class TestForward:
     def test_straight_through_gradients_flow_to_gate(self, tiny_model):
         seq = make_seq([2, 3, 4], [1, 0, 0])
         tiny_model.zero_grad()
-        loss, _ = tiny_model.example_loss(seq, 0, rng=RngStream(7, "g"),
-                                          mode="train")
+        loss, _ = tiny_model.loss([(seq, 0)], rng=RngStream(7, "g"))
         T.backward(loss)
         assert tiny_model.w_g.grad is not None
         assert np.any(tiny_model.w_g.grad != 0.0)

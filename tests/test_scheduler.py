@@ -24,14 +24,6 @@ class TestDecision:
         assert d.dropped == [0, 2]
 
 
-class TestSelectAll:
-    def test_takes_every_nonsensitive_token(self):
-        d = sched.select_all(MASK)
-        assert d.selected == [0, 2, 3, 5]
-        assert d.dropped == []
-        assert d.budget == 4
-
-
 class TestSelectTopk:
     def test_hand_ranking(self):
         scores = [0.1, 9.0, 0.5, 0.9, 9.0, 0.3]
