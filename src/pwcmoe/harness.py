@@ -198,11 +198,23 @@ def random_curve(scorer: MaskScorer, budgets, trials, seed, label):
 
 def _load_artifacts(spec: ExperimentSpec, out_dir: str, predictor: bool = False):
     """(bundle, model, predictor or None): the data of `spec`, the model
-    checkpoint in `out_dir` and, when asked, the predictor checkpoint."""
+    checkpoint in `out_dir` and, when asked, the predictor checkpoint. A
+    checkpoint whose sizes do not fit the data or the model raises
+    ValueError."""
     bundle = prepare_data(spec)
     model = load_model(os.path.join(out_dir, spec.model.checkpoint))
-    pred = (load_predictor(os.path.join(out_dir, spec.predictor.checkpoint))
-            if predictor else None)
+    c = model.config
+    for what, built, now in (("vocabulary size", c.vocab_size, len(bundle.vocab)),
+                             ("class count", c.num_classes, bundle.num_classes)):
+        if built != now:
+            raise ValueError(f"{spec.model.checkpoint} was built for {what} "
+                             f"{built}, but the data has {now}")
+    pred = None
+    if predictor:
+        pred = load_predictor(os.path.join(out_dir, spec.predictor.checkpoint))
+        if pred.config.d != c.d:
+            raise ValueError(f"{spec.predictor.checkpoint} was built for width "
+                             f"d = {pred.config.d}, but the model has d = {c.d}")
     return bundle, model, pred
 
 

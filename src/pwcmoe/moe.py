@@ -10,6 +10,7 @@ straight-through gradient and a group-wise load-balancing penalty.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
 from typing import Callable, Optional
@@ -171,42 +172,18 @@ class MoEModel(T.Module):
 
     # -- forward ----------------------------------------------------------
 
-    def expert_apply(self, j: int, x: Tensor) -> Tensor:
-        e = self.experts[j]
-        return T.matmul(T.relu(T.matmul(x, e["w1"]) + e["b1"]), e["w2"]) + e["b2"]
-
     def route_hard(self, h: Tensor, routed: Tensor, assign: np.ndarray,
                    rows=None) -> Tensor:
-        """Sparse dispatch: each expert runs only on its assigned tokens, and
-        the straight-through gate value (forward 1) scales each output row.
-        When `rows` is given, only those tokens are processed (dropped tokens
-        need no expert output); the rest stay zero."""
-        L = h.shape[0]
-        keep = np.zeros(L, dtype=bool)
-        keep[np.arange(L) if rows is None else np.asarray(rows, dtype=np.intp)] = True
-        pieces = []
-        for j in np.unique(assign[keep]):
-            idx = np.flatnonzero((assign == j) & keep)
-            out = self.expert_apply(int(j), T.gather_rows(h, idx))
-            gate = T.reshape(T.gather_elems(routed, idx, np.full(idx.shape, j)), (len(idx), 1))
-            pieces.append(T.scatter_rows(out * gate, idx, L))
-        if not pieces:
-            return Tensor(np.zeros((L, self.config.d)))
-        h_prime = pieces[0]
-        for p in pieces[1:]:
-            h_prime = h_prime + p
-        return h_prime
+        """Sparse dispatch: each expert runs only on its assigned tokens (only
+        on `rows`, when given), scaled by the straight-through gate value."""
+        return T.expert_dispatch(h, routed, assign, self.experts, rows)
 
     def route_soft(self, h: Tensor, z: Tensor) -> Tensor:
         """Dense relaxation: every expert processes every token, outputs mixed
         by z. Used for finite-difference gradient validation."""
         L, K = z.shape
-        h_prime = None
-        for j in range(K):
-            out = self.expert_apply(j, h)
-            piece = out * T.reshape(T.narrow(z, 1, j, 1), (L, 1))
-            h_prime = piece if h_prime is None else h_prime + piece
-        return h_prime
+        pieces = [T.expert_dispatch(h, z, np.full(L, j), self.experts) for j in range(K)]
+        return functools.reduce(T.add, pieces)
 
     def forward_batch(self, batch, rng: Optional[RngStream] = None,
                       mode: str = "eval", actives=None) -> ForwardResult:
@@ -274,18 +251,20 @@ class MoEModel(T.Module):
 
 def _concat_batch(batch, actives=None):
     """Token ids, privacy mask and example index of every token of the batch,
-    plus the positions of the active tokens."""
-    ids, mask, seg = [], [], []
-    active_flags = []
-    for e, (seq, _) in enumerate(batch):
-        ids.extend(seq.ids)
-        mask.extend(seq.mask)
-        seg.extend([e] * seq.length)
-        flags = np.zeros(seq.length, dtype=bool)
-        flags[np.arange(seq.length) if actives is None else actives[e]] = True
-        active_flags.append(flags)
-    return (np.asarray(ids), np.asarray(mask), np.asarray(seg),
-            np.flatnonzero(np.concatenate(active_flags)))
+    plus the sorted positions of the active tokens (`actives[e]` indexes
+    example e's own tokens, as numpy indexing would)."""
+    seqs = [seq for seq, _ in batch]
+    lengths = [seq.length for seq in seqs]
+    ids = np.concatenate([seq.ids for seq in seqs])
+    mask = np.concatenate([seq.mask for seq in seqs])
+    seg = np.repeat(np.arange(len(seqs)), lengths)
+    if actives is None:
+        return ids, mask, seg, np.arange(ids.size)
+    flags = np.zeros(ids.size, dtype=bool)
+    starts = np.cumsum(lengths) - lengths
+    for start, n, act in zip(starts, lengths, actives, strict=True):
+        flags[start:start + n][act] = True
+    return ids, mask, seg, np.flatnonzero(flags)
 
 
 def batch_forward(model: MoEModel, batch, rng=None, mode: str = "eval",

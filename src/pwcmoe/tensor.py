@@ -2,8 +2,9 @@
 
 Just enough machinery to train the routed-expert classifier and the
 importance predictor: 1-D/2-D tensors, a tape-free graph of closures, and a
-handful of fused ops (softmax, segment softmax, segment attention, layer
-norm, cross entropy) whose gradients are written out analytically.
+handful of fused ops (softmax, segment softmax, segment attention, top-1
+expert dispatch, layer norm, cross entropy) whose gradients are written out
+analytically.
 Everything runs in float64 by default so that finite-difference checks are
 meaningful.
 """
@@ -427,6 +428,61 @@ def segment_attention(q: Tensor, k: Tensor, v: Tensor, seg, n_segments: int,
             v._accum_grad(unpad(w.transpose(0, 1, 3, 2) @ go))
 
     return _make(unpad(w @ V), (q, k, v), backward)
+
+
+def expert_dispatch(h: Tensor, routed: Tensor, assign, experts, rows=None) -> Tensor:
+    """Top-1 expert MLPs over a token matrix (L, d) as one node. Expert j
+    runs relu(x w1 + b1) w2 + b2 on the rows i of `h` with assign[i] == j
+    (only rows listed in `rows`, when given), and each output row is scaled
+    by its gate routed[i, j]; rows no expert ran on stay zero. Experts own
+    disjoint rows, so the gradients into `h` and `routed` are written rather
+    than accumulated, and an expert with no row gets no gradient at all.
+    `experts[j]` is a dict of the tensors w1, b1, w2, b2."""
+    assign = np.asarray(assign, dtype=np.intp)
+    pos = np.arange(assign.size)
+    if rows is not None:
+        pos = np.unique(pos[np.asarray(rows, dtype=np.intp)])
+    # a stable sort keeps each expert's rows ascending
+    order = pos[np.argsort(assign[pos], kind="stable")]
+    counts = np.bincount(assign[pos], minlength=len(experts))
+    out = np.zeros(h.data.shape)
+    saved, params = [], []
+    for j, idx in enumerate(np.split(order, np.cumsum(counts)[:-1])):
+        if not idx.size:
+            continue
+        e = experts[j]
+        params.extend(e.values())
+        x = h.data[idx]
+        a = x @ e["w1"].data + e["b1"].data
+        on = a > 0
+        r = a * on
+        o = r @ e["w2"].data + e["b2"].data
+        gate = routed.data[idx, j].reshape(-1, 1)
+        out[idx] = o * gate
+        saved.append((j, idx, x, on, r, o, gate))
+
+    def backward(g):
+        gh = np.zeros(h.data.shape) if h.requires_grad else None
+        gr = np.zeros(routed.data.shape) if routed.requires_grad else None
+        for j, idx, x, on, r, o, gate in saved:
+            e = experts[j]
+            go = g[idx]
+            if gr is not None:
+                gr[idx, j] = (go * o).sum(axis=1)
+            go = go * gate
+            ga = (go @ e["w2"].data.T) * on
+            for name, grad in (("b2", go.sum(axis=0)), ("w2", r.T @ go),
+                               ("b1", ga.sum(axis=0)), ("w1", x.T @ ga)):
+                if e[name].requires_grad:
+                    e[name]._accum_grad(grad)
+            if gh is not None:
+                gh[idx] = ga @ e["w1"].data.T
+        if gh is not None:
+            h._accum_grad(gh)
+        if gr is not None:
+            routed._accum_grad(gr)
+
+    return _make(out, (h, routed, *params), backward)
 
 
 def layer_norm(x: Tensor, gain: Tensor, bias: Tensor, epsilon: float = 1e-5) -> Tensor:

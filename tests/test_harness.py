@@ -340,6 +340,41 @@ class TestCli:
             assert err.startswith("error: ") and "truncated" in err
             assert err.count("\n") == 1
 
+    def test_checkpoint_built_for_other_data_exits_1(self, tmp_path, capsys):
+        cfg = tmp_path / "tiny.cfg"
+        cfg.write_text(TINY_CONFIG_TEXT)
+        out = str(tmp_path / "run")
+        assert cli.run(["train", "--config", str(cfg), "--out", out]) == 0
+        # a CSV corpus with a larger vocabulary than the synthetic one
+        words = [f"w{i}" for i in range(150)]
+        for name, n in (("train.csv", 40), ("test.csv", 10)):
+            rows = [" ".join(words[(7 * i + k) % 150] for k in range(6)) + f",{i % 2}"
+                    for i in range(n)]
+            (tmp_path / name).write_text("text,label\n" + "\n".join(rows) + "\n")
+        other = tmp_path / "csv.cfg"
+        other.write_text(TINY_CONFIG_TEXT + f"data.source = csv\n"
+                         f"data.csv_train = {tmp_path}/train.csv\n"
+                         f"data.csv_test = {tmp_path}/test.csv\n")
+        capsys.readouterr()
+        assert cli.run(["eval", "--config", str(other), "--out", out]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: model.pwcm was built for vocabulary size ")
+        assert err.count("\n") == 1
+
+    def test_predictor_of_other_width_exits_1(self, tmp_path, capsys):
+        cfg = tmp_path / "tiny.cfg"
+        cfg.write_text(TINY_CONFIG_TEXT)
+        out = str(tmp_path / "run")
+        assert cli.run(["train", "--config", str(cfg), "--out", out]) == 0
+        assert cli.run(["train-predictor", "--config", str(cfg), "--out", out]) == 0
+        wide = tmp_path / "wide.cfg"
+        wide.write_text(TINY_CONFIG_TEXT + "model.d = 16\n")
+        assert cli.run(["train", "--config", str(wide), "--out", out]) == 0
+        capsys.readouterr()
+        assert cli.run(["sweep-budget", "--config", str(wide), "--out", out]) == 1
+        err = capsys.readouterr().err
+        assert err == "error: predictor.pwcp was built for width d = 8, but the model has d = 16\n"
+
     def test_channel_probe_succeeds(self, tmp_path, capsys):
         cfg = tmp_path / "probe.cfg"
         cfg.write_text("channel.deterministic = true\n")

@@ -200,6 +200,94 @@ class TestForward:
         assert np.all(np.isfinite(tiny_model.w_g.grad))
 
 
+def composed_route_hard(model, h, routed, assign, rows=None):
+    """Expert dispatch built from single autodiff ops, one gather, MLP,
+    gate and scatter per expert: the reference for `T.expert_dispatch`."""
+    L = h.shape[0]
+    keep = np.zeros(L, dtype=bool)
+    keep[np.arange(L) if rows is None else np.asarray(rows, dtype=np.intp)] = True
+    h_prime = None
+    for j in np.unique(assign[keep]):
+        idx = np.flatnonzero((assign == j) & keep)
+        e = model.experts[j]
+        x = T.gather_rows(h, idx)
+        out = T.matmul(T.relu(T.matmul(x, e["w1"]) + e["b1"]), e["w2"]) + e["b2"]
+        gate = T.reshape(T.gather_elems(routed, idx, np.full(idx.shape, j)), (len(idx), 1))
+        piece = T.scatter_rows(out * gate, idx, L)
+        h_prime = piece if h_prime is None else h_prime + piece
+    return h_prime
+
+
+def graph_nodes(t: Tensor) -> int:
+    """Number of recorded ops (non-leaf tensors) behind `t`."""
+    seen, stack = set(), [t]
+    while stack:
+        node = stack.pop()
+        if id(node) not in seen and node._backward_fn is not None:
+            seen.add(id(node))
+            stack.extend(node._parents)
+    return len(seen)
+
+
+class TestExpertDispatch:
+    def test_train_batch_bitwise_equals_composed_graph(self, monkeypatch):
+        rng = np.random.default_rng(9)
+        cfg = tiny_config(num_experts=5, num_privacy_experts=2, d=6, expert_hidden=7)
+        batch = []
+        for _ in range(6):
+            L = int(rng.integers(1, 9))
+            batch.append((make_seq(rng.integers(0, 12, L), rng.integers(0, 2, L)),
+                          int(rng.integers(0, 3))))
+        runs = []
+        for route in (None, composed_route_hard):
+            model = moe.MoEModel(cfg, RngStream(4, "m"))
+            if route is not None:
+                monkeypatch.setattr(model, "route_hard",
+                                    lambda *a, **kw: route(model, *a, **kw))
+            loss, res = model.loss(batch, rng=RngStream(5, "g"))
+            T.backward(loss)
+            grads = {k: p.grad for k, p in model.parameters().items()}
+            runs.append((loss.data, res.h_prime.data, res.logits.data, grads))
+        (loss, h_prime, logits, grads), (ref_loss, ref_h_prime, ref_logits, ref_grads) = runs
+        assert len(np.unique(np.concatenate([s.mask for s, _ in batch]))) == 2
+        assert np.array_equal(h_prime, ref_h_prime)
+        assert np.array_equal(logits, ref_logits) and np.array_equal(loss, ref_loss)
+        for k, g in grads.items():
+            if ref_grads[k] is None:
+                assert g is None, k
+            else:
+                assert g.tobytes() == ref_grads[k].tobytes(), k
+
+    def test_route_hard_adds_one_node(self, tiny_model):
+        h = Tensor(np.random.default_rng(0).normal(size=(5, 4)), requires_grad=True)
+        routed = Tensor(np.ones((5, 3)), requires_grad=True)
+        out = tiny_model.route_hard(h, routed, np.array([0, 1, 2, 1, 0]))
+        assert graph_nodes(out) == 1
+        ref = composed_route_hard(tiny_model, h, routed, np.array([0, 1, 2, 1, 0]))
+        assert graph_nodes(ref) > 20
+
+
+class TestConcatBatch:
+    def test_actives_index_each_example(self):
+        batch = [(make_seq([2, 3, 4], [0, 1, 0]), 0), (make_seq([5, 6], [1, 0]), 1),
+                 (make_seq([7, 8, 9, 10], [0, 0, 0, 1]), 0)]
+        ids, mask, seg, active = moe._concat_batch(batch)
+        assert ids.tolist() == [2, 3, 4, 5, 6, 7, 8, 9, 10]
+        assert mask.tolist() == [0, 1, 0, 1, 0, 0, 0, 0, 1]
+        assert seg.tolist() == [0, 0, 0, 1, 1, 2, 2, 2, 2]
+        assert active.tolist() == list(range(9))
+        # unsorted and repeated indices collapse; -1 is an example's last token
+        _, _, _, active = moe._concat_batch(batch, [[2, 0, 2], [], np.array([-1, 1])])
+        assert active.tolist() == [0, 2, 6, 8]
+
+    def test_out_of_range_active_raises(self):
+        batch = [(make_seq([2, 3], [0, 0]), 0), (make_seq([4, 5, 6], [0, 0, 0]), 0)]
+        with pytest.raises(IndexError):
+            moe._concat_batch(batch, [[2], [0]])
+        with pytest.raises(IndexError):
+            moe._concat_batch(batch, [[0], [-4]])
+
+
 class TestBatchForward:
     def test_matches_per_example_eval(self, tiny_model):
         rng = np.random.default_rng(8)

@@ -131,6 +131,66 @@ class TestSegmentAttention:
             T.segment_attention(x, x, x, [0, 0, 2], 3, 2)
 
 
+def dispatch_inputs(L=7, d=3, hidden=4, K=3, seed=21):
+    """h (L, d), gates (L, K) and K experts, all trainable."""
+    rng = np.random.default_rng(seed)
+    h = Tensor(rng.normal(size=(L, d)), requires_grad=True)
+    routed = Tensor(rng.uniform(0.5, 1.5, (L, K)), requires_grad=True)
+    experts = [{"w1": Tensor(rng.normal(size=(d, hidden)), requires_grad=True),
+                "b1": Tensor(rng.normal(size=hidden), requires_grad=True),
+                "w2": Tensor(rng.normal(size=(hidden, d)), requires_grad=True),
+                "b2": Tensor(rng.normal(size=d), requires_grad=True)}
+               for _ in range(K)]
+    return h, routed, experts
+
+
+def dispatch_params(h, routed, experts) -> dict:
+    params = {"h": h, "routed": routed}
+    for j, e in enumerate(experts):
+        params.update({f"expert{j}.{k}": v for k, v in e.items()})
+    return params
+
+
+class TestExpertDispatch:
+    def test_rows_match_each_expert_mlp(self):
+        h, routed, experts = dispatch_inputs()
+        assign = np.array([2, 0, 2, 1, 0, 2, 1])
+        out = T.expert_dispatch(h, routed, assign, experts)
+        for i, j in enumerate(assign):
+            e = experts[j]
+            a = h.data[i] @ e["w1"].data + e["b1"].data
+            mlp = np.maximum(a, 0.0) @ e["w2"].data + e["b2"].data
+            assert np.allclose(out.data[i], mlp * routed.data[i, j], atol=1e-12)
+
+    def test_gradient(self, fd_check):
+        h, routed, experts = dispatch_inputs()
+        assign = np.array([2, 0, 2, 1, 0, 2, 1])
+        w = rand((7, 3), 22)
+        fd_check(lambda: T.tsum(T.expert_dispatch(h, routed, assign, experts) * w),
+                 dispatch_params(h, routed, experts))
+
+    def test_expert_without_rows_gets_no_gradient(self):
+        h, routed, experts = dispatch_inputs()
+        out = T.expert_dispatch(h, routed, np.array([0, 2, 2, 0, 0, 2, 0]), experts)
+        T.backward(T.tsum(out * rand((7, 3), 23)))
+        assert all(p.grad is None for p in experts[1].values())
+        assert all(p.grad is not None for j in (0, 2) for p in experts[j].values())
+
+    def test_rows_subset(self, fd_check):
+        h, routed, experts = dispatch_inputs()
+        assign = np.array([2, 0, 2, 1, 0, 2, 1])
+        rows = [5, 1, 3, 1, -1]          # duplicates collapse; -1 is row 6
+        out = T.expert_dispatch(h, routed, assign, experts, rows)
+        T.backward(T.tsum(out * rand((7, 3), 24)))
+        outside = [0, 2, 4]
+        assert np.all(out.data[outside] == 0.0)
+        assert np.all(h.grad[outside] == 0.0)
+        assert np.all(np.abs(out.data[[1, 3, 5, 6]]).sum(axis=1) > 0.0)
+        w = rand((7, 3), 25)
+        fd_check(lambda: T.tsum(T.expert_dispatch(h, routed, assign, experts, rows) * w),
+                 dispatch_params(h, routed, experts))
+
+
 class TestLayerNorm:
     def test_constant_input_maps_to_zero(self):
         out = T.layer_norm(Tensor([1.0, 1.0, 1.0]), Tensor(np.ones(3)), Tensor(np.zeros(3)))
