@@ -152,9 +152,9 @@ def spec_from_entries(entries: dict) -> ExperimentSpec:
 
 
 def _check_ranges(spec: ExperimentSpec):
-    """Reject values the stages cannot run on. A negative budget would select
-    nothing, zero trials would average an empty list, and an empty split
-    would train on no batches or score no examples."""
+    """Reject values the stages cannot run on: a negative budget selects
+    nothing, zero trials average an empty list, an empty split trains on no
+    batches, and a zero width, head count or batch size divides by zero."""
     for k in spec.sweep.budgets:
         if not isinstance(k, int) or k < 0:
             raise ConfigError(f"sweep.budgets: {k!r} is not an integer >= 0")
@@ -162,7 +162,13 @@ def _check_ranges(spec: ExperimentSpec):
                        ("sweep.channel_draws", spec.sweep.channel_draws),
                        ("data.max_len", spec.data.max_len),
                        ("data.synth_train", spec.data.synth_train),
-                       ("data.synth_test", spec.data.synth_test)):
+                       ("data.synth_test", spec.data.synth_test),
+                       ("model.d", spec.model.d),
+                       ("model.expert_hidden", spec.model.expert_hidden),
+                       ("model.batch_size", spec.model.batch_size),
+                       ("predictor.proj_dim", spec.predictor.proj_dim),
+                       ("predictor.heads", spec.predictor.heads),
+                       ("predictor.batch_size", spec.predictor.batch_size)):
         if value < 1:
             raise ConfigError(f"{key} must be >= 1, got {value}")
 

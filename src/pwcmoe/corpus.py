@@ -1,8 +1,7 @@
 """Text corpora: tokenization, privacy masks, CSV ingestion, synthetic data.
 
 Sensitivity is rule-based: a token is sensitive iff it contains a decimal
-digit (account numbers, phone numbers, ...). Richer rules can be plugged in
-through the `masker` argument of mask_privacy.
+digit (account numbers, phone numbers, ...).
 """
 
 from __future__ import annotations
@@ -10,7 +9,7 @@ from __future__ import annotations
 import csv
 import re
 from dataclasses import dataclass, field
-from typing import Callable, Optional
+from typing import Optional
 
 from .rng import RngStream
 
@@ -98,12 +97,9 @@ def contains_digit(token: str) -> bool:
     return any(map(str.isdigit, token))
 
 
-def mask_privacy(
-    seq: TokenSequence,
-    masker: Callable[[str], bool] = contains_digit,
-) -> TokenSequence:
-    """Mark tokens whose surface form the masker flags as sensitive."""
-    mask = [1 if masker(t) else 0 for t in seq.tokens]
+def mask_privacy(seq: TokenSequence) -> TokenSequence:
+    """Mark tokens that contain a digit as sensitive."""
+    mask = [1 if contains_digit(t) else 0 for t in seq.tokens]
     return TokenSequence(ids=list(seq.ids), mask=mask, tokens=list(seq.tokens))
 
 
@@ -168,6 +164,8 @@ _FILLERS = [
 ]
 
 _KEYWORDS_PER_CLASS = 4
+_KEYWORDS_PER_EXAMPLE = 3
+_FILLERS_PER_EXAMPLE = 6
 
 
 def class_keywords(c: int) -> list:
@@ -182,14 +180,8 @@ def class_keywords(c: int) -> list:
     return [f"topic{tag}{w}" for w in ("alpha", "bravo", "carol", "delta")[:_KEYWORDS_PER_CLASS]]
 
 
-def synth_generate(
-    rng: RngStream,
-    n: int,
-    num_classes: int,
-    sensitive_rate: float,
-    keywords_per_example: int = 3,
-    fillers_per_example: int = 6,
-) -> list:
+def synth_generate(rng: RngStream, n: int, num_classes: int,
+                   sensitive_rate: float) -> list:
     """Balanced synthetic intent corpus.
 
     Each example contains keywords exclusive to its class (so a
@@ -204,10 +196,9 @@ def synth_generate(
     examples = []
     for i in range(n):
         label = i % num_classes
-        kws = list(rng.choice(class_keywords(label), size=keywords_per_example,
-                              replace=False)) if keywords_per_example <= _KEYWORDS_PER_CLASS \
-            else list(rng.choice(class_keywords(label), size=keywords_per_example))
-        fillers = list(rng.choice(_FILLERS, size=fillers_per_example, replace=False))
+        kws = list(rng.choice(class_keywords(label), size=_KEYWORDS_PER_EXAMPLE,
+                              replace=False))
+        fillers = list(rng.choice(_FILLERS, size=_FILLERS_PER_EXAMPLE, replace=False))
         tokens = kws + fillers
         if rng.uniform() < sensitive_rate:
             # small digit pool keeps sensitive tokens in-vocabulary at test time

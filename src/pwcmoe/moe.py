@@ -107,9 +107,7 @@ def aggregate(rows: Tensor, w: Tensor, seg, n_segments: int) -> tuple:
     if np.bincount(seg, minlength=n_segments).min() == 0:
         raise ValueError("no tokens to aggregate")
     alpha = T.segment_softmax(T.matmul(rows, w), seg, n_segments)  # (n, 1)
-    sel = np.zeros((n_segments, seg.size))
-    sel[seg, np.arange(seg.size)] = 1.0
-    return alpha, T.matmul(Tensor(sel), alpha * rows)
+    return alpha, T.segment_sum(alpha * rows, seg, n_segments)
 
 
 @dataclass
@@ -281,20 +279,16 @@ def batch_load_balance(z: Tensor, mask: np.ndarray, seg: np.ndarray,
     deviation of mean expert usage from uniform, computed separately over each
     example's sensitive and non-sensitive tokens. Empty groups contribute zero."""
     K = z.shape[1]
-    k_np = K - k_p
-
-    def group_term(member: np.ndarray, start: int, width: int):
-        counts = np.bincount(seg[member], minlength=n_examples).astype(float)
-        weights = np.zeros((n_examples, z.shape[0]))
-        nonzero = counts > 0
-        weights[seg[member], np.flatnonzero(member)] = 1.0
-        weights[nonzero] /= counts[nonzero, None]
-        usage = T.matmul(Tensor(weights), T.narrow(z, 1, start, width))
-        dev = usage - (1.0 / width)
-        return T.tsum(dev * dev * nonzero.astype(float).reshape(-1, 1))
-
-    total = group_term(mask == 1, 0, k_p) + group_term(mask == 0, k_p, k_np)
-    return total * (1.0 / n_examples)
+    privacy = np.arange(K) < k_p  # the expert columns of the privacy group
+    sensitive = np.asarray(mask) == 1
+    # (n_examples, K): the example's token count in the group owning the column
+    counts = np.where(privacy, np.bincount(seg[sensitive], minlength=n_examples)[:, None],
+                      np.bincount(seg[~sensitive], minlength=n_examples)[:, None])
+    # each token weighs 1 / its group's size on its group's columns, 0 elsewhere
+    weight = (sensitive[:, None] == privacy) / np.maximum(counts, 1)[seg]
+    usage = T.segment_sum(z * weight, seg, n_examples)
+    dev = usage - np.where(privacy, 1.0 / k_p, 1.0 / (K - k_p))
+    return T.tsum(dev * dev * (counts > 0)) * (1.0 / n_examples)
 
 
 # -- training / evaluation -------------------------------------------------
@@ -315,7 +309,7 @@ def active_set(seq: TokenSequence, decision) -> np.ndarray:
     return np.asarray(idx, dtype=np.intp)
 
 
-EVAL_CHUNK = 256  # examples pooled together; bounds aggregate's dense selector
+EVAL_CHUNK = 256  # examples per eval forward; bounds the forward's working memory
 
 
 class MaskScorer:
@@ -346,22 +340,16 @@ class MaskScorer:
 
     def accuracy(self, active: np.ndarray) -> float:
         """Accuracy when each example pools only its tokens marked in
-        `active`. Examples with no active token count as wrong; the rest are
-        pooled in chunks of up to EVAL_CHUNK examples."""
+        `active`, all examples in one pooling pass. Examples with no active
+        token count as wrong."""
         pos = np.flatnonzero(active)
-        seg = self.seg[pos]
-        present = np.flatnonzero(np.bincount(seg, minlength=len(self.data)))
-        local = np.zeros(len(self.data), dtype=np.intp)
-        local[present] = np.arange(present.size) % EVAL_CHUNK
-        correct = 0
+        if not pos.size:
+            return 0.0
+        present, local = np.unique(self.seg[pos], return_inverse=True)
         with T.no_grad():
-            for s in range(0, present.size, EVAL_CHUNK):
-                examples = present[s:s + EVAL_CHUNK]
-                rows = (seg >= examples[0]) & (seg <= examples[-1])
-                _, logits = self.model.classify(Tensor(self.h_prime[pos[rows]]),
-                                                local[seg[rows]], examples.size)
-                correct += int(np.sum(logits.data.argmax(axis=1) == self.labels[examples]))
-        return correct / len(self.data)
+            _, logits = self.model.classify(Tensor(self.h_prime[pos]), local, present.size)
+        correct = np.sum(logits.data.argmax(axis=1) == self.labels[present])
+        return int(correct) / len(self.data)
 
 
 def evaluate(model: MoEModel, data) -> float:

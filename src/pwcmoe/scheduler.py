@@ -20,30 +20,20 @@ ORACLE_MAX_TOKENS = 12
 
 @dataclass
 class OffloadDecision:
+    """The non-sensitive tokens a client uplinks, sorted, within `budget`."""
     selected: list
-    dropped: list
     budget: int
-    strategy: str
 
     def __post_init__(self):
         self.selected = sorted(self.selected)
-        self.dropped = sorted(self.dropped)
         if len(self.selected) > self.budget:
             raise ValueError(
                 f"decision exceeds budget: {len(self.selected)} > {self.budget}"
             )
-        if set(self.selected) & set(self.dropped):
-            raise ValueError("selected and dropped overlap")
 
 
 def _nonsensitive(mask: Sequence[int]) -> list:
     return [i for i, m in enumerate(mask) if m == 0]
-
-
-def _decision(ns: list, chosen, budget: int, strategy: str) -> OffloadDecision:
-    kept = set(chosen)
-    return OffloadDecision(selected=chosen, dropped=[i for i in ns if i not in kept],
-                           budget=budget, strategy=strategy)
 
 
 def topk_order(scores, mask: Sequence[int]) -> list:
@@ -64,18 +54,15 @@ def select_topk(scores, mask: Sequence[int], budget: int) -> OffloadDecision:
     """Highest-scoring non-sensitive tokens, ties broken by lower index."""
     if budget < 0:
         raise ValueError("budget must be nonnegative")
-    ranked = topk_order(scores, mask)
-    return OffloadDecision(selected=ranked[:budget], dropped=ranked[budget:],
-                           budget=budget, strategy="topk")
+    return OffloadDecision(topk_order(scores, mask)[:budget], budget)
 
 
 def select_random(mask: Sequence[int], budget: int, rng: RngStream) -> OffloadDecision:
     """Uniform sample without replacement from the non-sensitive tokens."""
     if budget < 0:
         raise ValueError("budget must be nonnegative")
-    ns = _nonsensitive(mask)
-    chosen = sorted(int(i) for i in random_draw(ns, budget, rng))
-    return _decision(ns, chosen, budget, "random")
+    chosen = random_draw(_nonsensitive(mask), budget, rng)
+    return OffloadDecision([int(i) for i in chosen], budget)
 
 
 def brute_force_oracle(
@@ -104,4 +91,4 @@ def brute_force_oracle(
             if conf > best_conf:
                 best_conf = conf
                 best_subset = subset
-    return _decision(ns, best_subset, budget, "oracle"), best_conf
+    return OffloadDecision(best_subset, budget), best_conf

@@ -2,9 +2,9 @@
 
 Just enough machinery to train the routed-expert classifier and the
 importance predictor: 1-D/2-D tensors, a tape-free graph of closures, and a
-handful of fused ops (softmax, segment softmax, segment attention, top-1
-expert dispatch, layer norm, cross entropy) whose gradients are written out
-analytically.
+handful of fused ops (softmax, segment sum, segment softmax, segment
+attention, top-1 expert dispatch, layer norm, cross entropy) whose gradients
+are written out analytically.
 Everything runs in float64 by default so that finite-difference checks are
 meaningful.
 """
@@ -358,25 +358,52 @@ def softmax(a: Tensor, temperature: float = 1.0, axis: int = -1) -> Tensor:
     return _make(z, (a,), backward)
 
 
+def _segment_positions(seg: np.ndarray, n_segments: int) -> tuple:
+    """(position of each row in its segment, rows per segment); segments are
+    contiguous runs of `seg`, numbered 0..n_segments-1 in order, none empty."""
+    counts = None
+    if seg.size and seg[0] >= 0 and not (seg[1:] < seg[:-1]).any():
+        counts = np.bincount(seg, minlength=n_segments)
+    if counts is None or counts.size != n_segments or counts.min() == 0:
+        raise ValueError("segments must be contiguous and non-empty")
+    return np.arange(seg.size) - (np.cumsum(counts) - counts)[seg], counts
+
+
+def segment_sum(a: Tensor, seg, n_segments: int) -> Tensor:
+    """Row sums of each segment: output row s adds the rows i of `a` with
+    seg[i] == s. Segments are contiguous, in order and non-empty."""
+    seg = np.asarray(seg, dtype=np.intp)
+    pos, counts = _segment_positions(seg, n_segments)
+    # a sum over the padded axis adds each segment's rows in row order;
+    # np.add.reduceat reorders them, which moves trained weights in low bits
+    padded = np.zeros((n_segments, counts.max()) + a.data.shape[1:])
+    padded[seg, pos] = a.data
+
+    def backward(g):
+        if a.requires_grad:
+            a._accum_grad(g[seg])
+
+    return _make(padded.sum(axis=1), (a,), backward)
+
+
 def segment_softmax(a: Tensor, seg, n_segments: int) -> Tensor:
     """Softmax of a column of scores (n, 1) within each segment: row i is
     normalized over the rows j with seg[j] == seg[i]. Computed as
-    e * (1 / segment sum of e), the sums by a dense (n_segments, n) selector."""
+    e * (1 / segment sum of e), the sums by bincount."""
     seg = np.asarray(seg, dtype=np.intp)
     x = a.data
     # per-segment max as a gradient-free shift
     shift = np.full(n_segments, -np.inf)
     np.maximum.at(shift, seg, x.reshape(-1))
     e = np.exp(x - shift[seg].reshape(x.shape))
-    sel = np.zeros((n_segments, seg.size))
-    sel[seg, np.arange(seg.size)] = 1.0
-    r = 1.0 / (sel @ e)[seg]
+    sums = np.bincount(seg, weights=e.reshape(-1), minlength=n_segments)
+    r = (1.0 / sums)[seg].reshape(x.shape)
 
     def backward(g):
         if a.requires_grad:
-            acc = np.zeros((n_segments,) + x.shape[1:])
-            np.add.at(acc, seg, -(g * e) * r * r)
-            a._accum_grad((g * r + acc[seg]) * e)
+            acc = np.bincount(seg, weights=(-(g * e) * r * r).reshape(-1),
+                              minlength=n_segments)
+            a._accum_grad((g * r + acc[seg].reshape(x.shape)) * e)
 
     return _make(e * r, (a,), backward)
 
@@ -393,11 +420,8 @@ def segment_attention(q: Tensor, k: Tensor, v: Tensor, seg, n_segments: int,
     n, p = q.data.shape
     if p % heads:
         raise ShapeError(f"{heads} heads do not divide width {p}")
-    counts = np.bincount(seg, minlength=n_segments)
-    if counts.min() == 0 or np.any(np.diff(seg) < 0):
-        raise ValueError("segments must be contiguous and non-empty")
+    pos, counts = _segment_positions(seg, n_segments)
     dh = p // heads
-    pos = np.arange(n) - (np.cumsum(counts) - counts)[seg]
     L = int(counts.max())
     scale = 1.0 / math.sqrt(dh)
 

@@ -6,12 +6,24 @@ import shutil
 import numpy as np
 import pytest
 
-from pwcmoe import channel, cli, config, harness, moe, scheduler
+from pwcmoe import channel, checkpoint, cli, config, harness, moe, scheduler
 from pwcmoe.corpus import TokenSequence
 from pwcmoe.predictor import ImportancePredictor
 from pwcmoe.rng import RngStream
 
 from conftest import reference_random_means, reference_topk_accuracy
+
+
+ROOT = os.path.join(os.path.dirname(__file__), "..")
+
+
+def load_script(name: str):
+    """Import scripts/<name>.py as a module."""
+    module_spec = importlib.util.spec_from_file_location(
+        name, os.path.join(ROOT, "scripts", f"{name}.py"))
+    module = importlib.util.module_from_spec(module_spec)
+    module_spec.loader.exec_module(module)
+    return module
 
 
 def tiny_spec(seed=0):
@@ -134,8 +146,7 @@ class TestCollaborativeForward:
         for seq, _ in bundle.test:
             sens = seq.sensitive_indices()
             if sens:
-                bad = scheduler.OffloadDecision(selected=[sens[0]], dropped=[],
-                                                budget=1, strategy="x")
+                bad = scheduler.OffloadDecision(selected=[sens[0]], budget=1)
                 with pytest.raises(ValueError, match="sensitive"):
                     harness.collaborative_forward(model, seq, bad)
                 break
@@ -143,8 +154,7 @@ class TestCollaborativeForward:
     def test_rejects_out_of_range_index(self, trained):
         _, _, bundle, model, _ = trained
         seq, _ = bundle.test[0]
-        bad = scheduler.OffloadDecision(selected=[seq.length + 3], dropped=[],
-                                        budget=1, strategy="x")
+        bad = scheduler.OffloadDecision(selected=[seq.length + 3], budget=1)
         with pytest.raises(IndexError):
             harness.collaborative_forward(model, seq, bad)
 
@@ -418,6 +428,12 @@ class TestCli:
         ("data.max_len = 0", "data.max_len must be >= 1"),
         ("data.synth_train = 0", "data.synth_train must be >= 1"),
         ("data.synth_test = 0", "data.synth_test must be >= 1"),
+        ("model.d = 0", "model.d must be >= 1"),
+        ("model.expert_hidden = 0", "model.expert_hidden must be >= 1"),
+        ("model.batch_size = 0", "model.batch_size must be >= 1"),
+        ("predictor.proj_dim = 0", "predictor.proj_dim must be >= 1"),
+        ("predictor.heads = 0", "predictor.heads must be >= 1"),
+        ("predictor.batch_size = 0", "predictor.batch_size must be >= 1"),
         pytest.param("data.source = csv\ndata.csv_train = {tmp}/header_only.csv\n"
                      "data.csv_test = {tmp}/header_only.csv",
                      "header_only.csv: no examples", id="header-only-csv"),
@@ -432,23 +448,16 @@ class TestCli:
         assert err.count("\n") == 1
 
     def test_pipeline_script_matches_staged_cli(self, tmp_path, capsys):
-        root = os.path.join(os.path.dirname(__file__), "..")
-        cfg = os.path.join(root, "configs", "tiny.cfg")
-        module_spec = importlib.util.spec_from_file_location(
-            "run_pipeline", os.path.join(root, "scripts", "run_pipeline.py"))
-        pipeline = importlib.util.module_from_spec(module_spec)
-        module_spec.loader.exec_module(pipeline)
+        cfg = os.path.join(ROOT, "configs", "tiny.cfg")
         piped, staged = str(tmp_path / "pipeline"), str(tmp_path / "staged")
-        assert pipeline.main(["--config", cfg, "--out", piped]) == 0
+        assert load_script("run_pipeline").main(["--config", cfg, "--out", piped]) == 0
         for mode in ["train", "train-predictor", "eval", "sweep-budget",
                      "sweep-distance", "target-accuracy"]:
             assert cli.run([mode, "--config", cfg, "--out", staged]) == 0
-        names = sorted(os.listdir(staged))
-        assert sorted(os.listdir(piped)) == names and len(names) == 9
-        for name in names:
-            with open(os.path.join(piped, name), "rb") as a, \
-                    open(os.path.join(staged, name), "rb") as b:
-                assert a.read() == b.read(), f"{name} differs"
+        assert len(os.listdir(staged)) == 9
+        capsys.readouterr()
+        assert load_script("compare_runs").main([piped, staged]) == 0
+        assert capsys.readouterr().out == ""
 
     def test_seed_flag_overrides_config(self, tmp_path):
         cfg = tmp_path / "s.cfg"
@@ -456,6 +465,38 @@ class TestCli:
         import argparse
         args = argparse.Namespace(config=str(cfg), seed=11)
         assert cli._spec(args).seed == 11
+
+
+class TestCompareRuns:
+    @pytest.fixture
+    def runs(self, tmp_path):
+        dirs = []
+        for name in ("a", "b"):
+            d = tmp_path / name
+            d.mkdir()
+            (d / "budget_sweep.csv").write_text("budget,accuracy\n1,0.50\n")
+            (d / "eval_metrics.csv").write_text("metric,value\nacc,0.75\n")
+            checkpoint.save_container(str(d / "predictor.pwcp"), checkpoint.MAGIC_PREDICTOR,
+                                      {"d": 2}, {"w": np.arange(6.0).reshape(2, 3),
+                                                 "b": np.zeros(2)})
+            dirs.append(str(d))
+        return dirs
+
+    def test_one_changed_csv_byte_exits_1_naming_the_file(self, runs, tmp_path, capsys):
+        path = tmp_path / "b" / "budget_sweep.csv"
+        data = bytearray(path.read_bytes())
+        data[-2] ^= 1  # "0.50" -> "0.51"
+        path.write_bytes(bytes(data))
+        assert load_script("compare_runs").main(runs) == 1
+        assert capsys.readouterr().out == "budget_sweep.csv: bytes differ\n"
+
+    def test_checkpoint_line_names_arrays_and_counts_values(self, runs, capsys):
+        checkpoint.save_container(os.path.join(runs[1], "predictor.pwcp"),
+                                  checkpoint.MAGIC_PREDICTOR, {"d": 2},
+                                  {"w": np.arange(6.0).reshape(2, 3) * [1, 1, 2],
+                                   "b": np.zeros(2)})
+        assert load_script("compare_runs").main(runs) == 1
+        assert capsys.readouterr().out == "predictor.pwcp: 2 of 8 values differ: w 2/6\n"
 
 
 class TestDeterminism:

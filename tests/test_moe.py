@@ -128,6 +128,28 @@ class TestLoadBalance:
                 res.z.data, seq.mask, model.config.num_privacy_experts).item())
         assert lb.item() == pytest.approx(np.mean(per_example), rel=1e-10)
 
+    def test_matches_dense_weight_formula(self):
+        # example 1 has no sensitive token, so its privacy group is empty
+        rng = np.random.default_rng(8)
+        mask = np.array([1, 0, 0, 0, 0, 1, 1, 0, 1])
+        seg = np.array([0, 0, 1, 1, 1, 2, 2, 2, 3])
+        z = rng.dirichlet(np.ones(4), size=mask.size)
+        k_p, n_examples = 2, 4
+
+        def dense_group_term(member, start, width):
+            counts = np.bincount(seg[member], minlength=n_examples).astype(float)
+            weights = np.zeros((n_examples, mask.size))
+            weights[seg[member], np.flatnonzero(member)] = 1.0
+            nonzero = counts > 0
+            weights[nonzero] /= counts[nonzero, None]
+            dev = weights @ z[:, start:start + width] - 1.0 / width
+            return np.sum(dev * dev * nonzero[:, None])
+
+        ref = (dense_group_term(mask == 1, 0, k_p)
+               + dense_group_term(mask == 0, k_p, 4 - k_p)) / n_examples
+        lb = moe.batch_load_balance(Tensor(z), mask, seg, n_examples, k_p)
+        assert abs(lb.item() - ref) <= 1e-12
+
 
 class TestAggregate:
     def test_weighted_pooling_hand_case(self):
@@ -355,7 +377,7 @@ class TestEvaluate:
         assert scorer.accuracy(np.zeros(2, dtype=bool)) == 0.0
 
     def test_scorer_matches_per_example_forward(self, tiny_model):
-        # 300 examples span two pooling chunks; all-non-sensitive examples
+        # 300 examples span two forward chunks; all-non-sensitive examples
         # have nothing to pool at budget 0, and budget 12 exceeds every
         # example's non-sensitive count
         rng = np.random.default_rng(5)
@@ -383,7 +405,7 @@ class TestEvaluate:
     def test_active_set_union(self):
         from pwcmoe.scheduler import OffloadDecision
         seq = make_seq([2, 3, 4], [1, 0, 0])
-        d = OffloadDecision(selected=[2], dropped=[1], budget=1, strategy="x")
+        d = OffloadDecision(selected=[2], budget=1)
         assert moe.active_set(seq, d).tolist() == [0, 2]
         assert moe.active_set(seq, None).tolist() == [0, 1, 2]
 

@@ -76,6 +76,34 @@ class TestSoftmax:
 SEG = np.array([0, 0, 0, 0, 1, 2, 2, 2])
 
 
+class TestSegmentSum:
+    def test_matches_per_segment_loop(self):
+        x = rand((8, 3), 18)
+        out = T.segment_sum(Tensor(x), SEG, 3).data
+        ref = np.stack([x[SEG == s].sum(axis=0) for s in range(3)])
+        assert np.allclose(out, ref, rtol=0, atol=1e-12)
+
+    def test_gradient(self, fd_check):
+        x = Tensor(rand((8, 3), 19), requires_grad=True)
+        w = rand((3, 3), 17)
+        fd_check(lambda: T.tsum(T.segment_sum(x, SEG, 3) * w), {"x": x})
+
+    @pytest.mark.parametrize("seg, n", [
+        ([0, 0, 2], 3),      # segment 1 empty
+        ([0, 0, 1], 3),      # last segment empty
+        ([1, 1, 2], 3),      # first segment empty
+        ([0, 1, 0], 2),      # segment 0 not contiguous
+        ([1, 0, 0], 2),      # out of order
+        ([0, 1, 2], 2),      # more segments than declared
+        ([-1, 0, 0], 1),     # negative segment id
+        ([], 1),             # no rows
+    ])
+    def test_rejects_empty_or_unordered_segments(self, seg, n):
+        x = Tensor(rand((len(seg), 2), 16))
+        with pytest.raises(ValueError, match="contiguous and non-empty"):
+            T.segment_sum(x, seg, n)
+
+
 class TestSegmentSoftmax:
     def test_each_segment_is_a_softmax(self):
         x = rand((8, 1), 20)
