@@ -3,7 +3,9 @@
 
 Prints one line per file that differs or exists on one side only. For a
 checkpoint (.pwcm, .pwcp) the line names each array that differs and counts
-its differing values. Exits 0 only when both directories hold the same files
+its differing values. For a CSV it counts the data lines that differ and
+shows the first few by their fields before the first one that differs (such
+as `3,random`), so the rows that moved can be told apart. Exits 0 only when both directories hold the same files
 with the same bytes, else 1.
 
     python3 scripts/compare_runs.py runs/a runs/b
@@ -21,6 +23,7 @@ from pwcmoe.checkpoint import (MAGIC_MODEL, MAGIC_PREDICTOR, CheckpointError,
                                load_container)
 
 MAGICS = {".pwcm": MAGIC_MODEL, ".pwcp": MAGIC_PREDICTOR}
+SHOWN_LINES = 3
 
 
 def checkpoint_diff(path_a: str, path_b: str, magic: bytes) -> str:
@@ -47,6 +50,26 @@ def checkpoint_diff(path_a: str, path_b: str, magic: bytes) -> str:
     return f"{head}: {', '.join(parts)}" if parts else f"{head}; bytes differ"
 
 
+def csv_diff(path_a: str, path_b: str) -> str:
+    """How many data lines of two CSVs differ, and the leading fields the
+    first few of them share."""
+    with open(path_a, encoding="utf-8", errors="replace") as fa, \
+            open(path_b, encoding="utf-8", errors="replace") as fb:
+        lines_a, lines_b = fa.read().splitlines(), fb.read().splitlines()
+    if lines_a[:1] != lines_b[:1]:
+        return "header differs"
+    rows_a, rows_b = lines_a[1:], lines_b[1:]
+    if len(rows_a) != len(rows_b):
+        return f"{len(rows_a)} vs {len(rows_b)} data lines"
+    leads = [",".join(os.path.commonprefix([a.split(","), b.split(",")]))
+             for a, b in zip(rows_a, rows_b) if a != b]
+    if not leads:
+        return "bytes differ"
+    more = "; ..." if len(leads) > SHOWN_LINES else ""
+    return (f"{len(leads)} of {len(rows_a)} data lines differ: "
+            f"{'; '.join(leads[:SHOWN_LINES])}{more}")
+
+
 def differences(dir_a: str, dir_b: str) -> list:
     """One line per file that is not byte-identical in both directories."""
     names_a, names_b = set(os.listdir(dir_a)), set(os.listdir(dir_b))
@@ -59,8 +82,13 @@ def differences(dir_a: str, dir_b: str) -> list:
         with open(path_a, "rb") as fa, open(path_b, "rb") as fb:
             if fa.read() == fb.read():
                 continue
-        magic = MAGICS.get(os.path.splitext(name)[1])
-        detail = checkpoint_diff(path_a, path_b, magic) if magic else "bytes differ"
+        ext = os.path.splitext(name)[1]
+        if ext in MAGICS:
+            detail = checkpoint_diff(path_a, path_b, MAGICS[ext])
+        elif ext == ".csv":
+            detail = csv_diff(path_a, path_b)
+        else:
+            detail = "bytes differ"
         lines.append(f"{name}: {detail}")
     return lines
 

@@ -7,6 +7,8 @@ digit (account numbers, phone numbers, ...).
 from __future__ import annotations
 
 import csv
+import functools
+import itertools
 import re
 from dataclasses import dataclass, field
 from typing import Optional
@@ -24,6 +26,11 @@ _TOKEN_RE = re.compile(r"[a-z0-9]+")
 class Example:
     text: str
     label: int
+
+    @functools.cached_property
+    def words(self) -> list:
+        """`split_text(text)`, split once per example."""
+        return split_text(self.text)
 
 
 @dataclass
@@ -103,11 +110,28 @@ def mask_privacy(seq: TokenSequence) -> TokenSequence:
     return TokenSequence(ids=list(seq.ids), mask=mask, tokens=list(seq.tokens))
 
 
-def build_vocabulary(examples: list) -> Vocabulary:
-    vocab = Vocabulary()
+def encode(examples: list, vocab: Vocabulary, max_len: int = DEFAULT_MAX_LEN) -> list:
+    """`mask_privacy(tokenize(ex.text, vocab, max_len))` for every example,
+    with each distinct word looked up and checked for a digit once."""
+    memo = {}
+    out = []
     for ex in examples:
-        for tok in split_text(ex.text):
-            vocab.add(tok)
+        tokens = ex.words[:max_len]
+        if not tokens:
+            raise ValueError(f"empty sequence after tokenization: {ex.text!r}")
+        for t in tokens:
+            if t not in memo:
+                memo[t] = (vocab.lookup(t), int(contains_digit(t)))
+        ids, mask = zip(*[memo[t] for t in tokens])
+        out.append(TokenSequence(ids=list(ids), mask=list(mask), tokens=tokens))
+    return out
+
+
+def build_vocabulary(examples: list) -> Vocabulary:
+    """Every word of `examples`, numbered in order of first occurrence."""
+    vocab = Vocabulary()
+    for tok in dict.fromkeys(itertools.chain.from_iterable(ex.words for ex in examples)):
+        vocab.add(tok)
     return vocab
 
 

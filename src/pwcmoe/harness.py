@@ -3,9 +3,9 @@ emulation, budget / distance / target-accuracy sweeps, and CSV metrics.
 
 Every stochastic choice derives from the experiment seed through labeled
 RngStreams, so a (config, seed) pair fully determines every output byte.
-Each sweep stage runs the MoE forward over the test split once and scores
-every test example with the predictor once; each offload decision is then a
-mask over that pass's tokens.
+Each sweep stage runs the MoE forward over the test split once; every
+offload strategy is then a rank per token over that pass's tokens, and its
+decision at budget k the mask of the tokens ranked below k.
 """
 
 from __future__ import annotations
@@ -16,11 +16,11 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from . import channel as ch
-from . import corpus, scheduler
+from . import corpus
 from . import tensor as T
 from .checkpoint import FORMAT_VERSION
 from .config import ExperimentSpec, config_hash
-from .moe import (MaskScorer, MoEConfig, MoEModel, active_set, evaluate,
+from .moe import (EVAL_CHUNK, MaskScorer, MoEConfig, MoEModel, active_set, evaluate,
                   load_model, save_model, train_model)
 from .predictor import (ImportancePredictor, PredictorConfig, collect_dataset,
                         load_predictor, save_predictor, train_predictor)
@@ -78,11 +78,7 @@ class DataBundle:
 
 
 def _sequences(examples, vocab, max_len):
-    out = []
-    for ex in examples:
-        seq = corpus.mask_privacy(corpus.tokenize(ex.text, vocab, max_len))
-        out.append((seq, ex.label))
-    return out
+    return list(zip(corpus.encode(examples, vocab, max_len), (ex.label for ex in examples)))
 
 
 def prepare_data(spec: ExperimentSpec) -> DataBundle:
@@ -150,44 +146,55 @@ def collaborative_forward(model: MoEModel, seq, decision) -> np.ndarray:
 
 # -- strategy evaluation ---------------------------------------------------
 
-def topk_masks(scorer: MaskScorer, predictor: ImportancePredictor, budgets) -> dict:
-    """Per budget k, the active tokens of predictor top-k: every example keeps
-    its sensitive tokens and its k best-ranked non-sensitive ones. Each
-    example is scored once."""
-    rank = np.full(scorer.sensitive.size, np.iinfo(np.intp).max)
+def rank_tokens(scorer: MaskScorer, key: np.ndarray) -> np.ndarray:
+    """Rank of each token within its example: non-sensitive tokens by
+    ascending `key`, equal keys to the lower position, then the sensitive
+    tokens."""
+    order = np.lexsort((key, scorer.sensitive, scorer.seg))
+    rank = np.empty(order.size, dtype=np.intp)
+    rank[order] = np.arange(order.size) - scorer.offsets[scorer.seg[order]]
+    return rank
+
+
+def topk_ranks(scorer: MaskScorer, predictor: ImportancePredictor) -> np.ndarray:
+    """Predictor top-k as a rank array: highest score first. The test split
+    is scored in packed forwards of `EVAL_CHUNK` examples."""
     emb = scorer.model.embedding.data
-    for (seq, _), off in zip(scorer.data, scorer.offsets):
-        order = scheduler.topk_order(predictor.scores_np(emb[np.asarray(seq.ids)]), seq.mask)
-        rank[off + np.asarray(order, dtype=np.intp)] = np.arange(len(order))
-    return {k: scorer.sensitive | (rank < k) for k in budgets}
+    seqs = [emb[np.asarray(seq.ids)] for seq, _ in scorer.data]
+    with T.no_grad():
+        scores = np.concatenate([predictor.predict_batch(seqs[s:s + EVAL_CHUNK]).data
+                                 for s in range(0, len(seqs), EVAL_CHUNK)])
+    return rank_tokens(scorer, -scores.reshape(-1))
 
 
-def random_masks(scorer: MaskScorer, budget: int, trials: int, seed: int, label: str):
-    """The active tokens of each random-selection trial at `budget`. Trial t
-    draws from stream `{label}/k{budget}/trial{t}`, once per example in data
-    order."""
-    ns = np.flatnonzero(~scorer.sensitive)
-    candidates = np.split(ns, np.searchsorted(ns, scorer.offsets[1:-1]))
+def random_ranks(scorer: MaskScorer, trials: int, seed: int, label: str):
+    """Uniform random selection as one rank array per trial. Trial t ranks
+    one uniform key per token from stream `{label}/trial{t}`, so every budget
+    of a trial shares its keys and the subsets are nested; the `budget`
+    lowest keys of an example are a uniform subset of that size."""
     for t in range(trials):
-        rng = RngStream(seed, f"{label}/k{budget}/trial{t}")
-        active = scorer.sensitive.copy()
-        for c in candidates:
-            active[scheduler.random_draw(c, budget, rng)] = True
-        yield active
+        yield rank_tokens(scorer, RngStream(seed, f"{label}/trial{t}").uniform(scorer.seg.size))
+
+
+def accuracy_curve(scorer: MaskScorer, rank: np.ndarray, budgets) -> dict:
+    """Accuracy per budget k when every example pools its sensitive tokens
+    and its k best-ranked non-sensitive ones."""
+    return {k: scorer.accuracy(scorer.sensitive | (rank < k)) for k in budgets}
 
 
 def topk_curve(scorer: MaskScorer, predictor: ImportancePredictor, budgets) -> dict:
     """Top-k accuracy per budget."""
-    return {k: scorer.accuracy(m) for k, m in topk_masks(scorer, predictor, budgets).items()}
+    return accuracy_curve(scorer, topk_ranks(scorer, predictor), budgets)
 
 
 def random_curve(scorer: MaskScorer, budgets, trials, seed, label):
     """Mean/std accuracy per budget over independent random-selection trials."""
-    means, stds = {}, {}
-    for k in budgets:
-        accs = [scorer.accuracy(m) for m in random_masks(scorer, k, trials, seed, label)]
-        means[k] = float(np.mean(accs))
-        stds[k] = float(np.std(accs, ddof=1)) if trials > 1 else 0.0
+    accs = {k: [] for k in budgets}
+    for rank in random_ranks(scorer, trials, seed, label):
+        for k, acc in accuracy_curve(scorer, rank, budgets).items():
+            accs[k].append(acc)
+    means = {k: float(np.mean(a)) for k, a in accs.items()}
+    stds = {k: float(np.std(a, ddof=1)) if trials > 1 else 0.0 for k, a in accs.items()}
     return means, stds
 
 

@@ -43,13 +43,6 @@ def topk_order(scores, mask: Sequence[int]) -> list:
     return sorted(_nonsensitive(mask), key=lambda i: (-s[i], i))
 
 
-def random_draw(candidates, budget: int, rng: RngStream) -> np.ndarray:
-    """min(budget, len(candidates)) of `candidates`, uniformly without
-    replacement. An empty pick draws nothing from `rng`."""
-    k = min(budget, len(candidates))
-    return rng.choice(candidates, size=k, replace=False) if k else np.zeros(0, dtype=np.intp)
-
-
 def select_topk(scores, mask: Sequence[int], budget: int) -> OffloadDecision:
     """Highest-scoring non-sensitive tokens, ties broken by lower index."""
     if budget < 0:
@@ -58,11 +51,10 @@ def select_topk(scores, mask: Sequence[int], budget: int) -> OffloadDecision:
 
 
 def select_random(mask: Sequence[int], budget: int, rng: RngStream) -> OffloadDecision:
-    """Uniform sample without replacement from the non-sensitive tokens."""
-    if budget < 0:
-        raise ValueError("budget must be nonnegative")
-    chosen = random_draw(_nonsensitive(mask), budget, rng)
-    return OffloadDecision([int(i) for i in chosen], budget)
+    """Uniform sample without replacement from the non-sensitive tokens: one
+    uniform key per token from `rng`, the `budget` lowest-keyed
+    non-sensitive tokens taken. Every call draws `len(mask)` keys."""
+    return select_topk(-rng.uniform(len(mask)), mask, budget)
 
 
 def brute_force_oracle(

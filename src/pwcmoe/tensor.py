@@ -251,9 +251,11 @@ def gather_rows(a: Tensor, idx) -> Tensor:
 
     def backward(g):
         if a.requires_grad:
-            acc = np.zeros_like(a.data)
-            np.add.at(acc, idx, g)
-            a._accum_grad(acc)
+            # one flat bincount: element (idx[i], j) of the gradient sums g[i, j]
+            n, width = a.data.shape[0], a.data[:1].size
+            flat = (idx.reshape(-1, 1) * width + np.arange(width)).reshape(-1)
+            acc = np.bincount(flat, weights=g.reshape(-1), minlength=n * width)
+            a._accum_grad(acc.reshape(a.data.shape))
 
     return _make(a.data[idx], (a,), backward)
 

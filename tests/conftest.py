@@ -75,13 +75,14 @@ def reference_topk_accuracy(model, predictor, data, budget):
 
 
 def reference_random_means(model, data, budgets, trials, seed, label):
-    """Mean `reference_accuracy` per budget under `scheduler.select_random`,
-    trial t at budget k drawing from stream `{label}/k{k}/trial{t}`."""
+    """Mean `reference_accuracy` per budget under `scheduler.select_random`.
+    Trial t replays stream `{label}/trial{t}` at every budget, one
+    `select_random` per example in data order."""
     means = {}
     for k in budgets:
         accs = []
         for t in range(trials):
-            rng = RngStream(seed, f"{label}/k{k}/trial{t}")
+            rng = RngStream(seed, f"{label}/trial{t}")
             accs.append(reference_accuracy(
                 model, data, lambda i, seq: scheduler.select_random(seq.mask, k, rng)))
         means[k] = float(np.mean(accs))

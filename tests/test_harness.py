@@ -1,15 +1,21 @@
+import collections
 import dataclasses
 import importlib.util
+import itertools
 import os
 import shutil
+import types
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from pwcmoe import channel, checkpoint, cli, config, harness, moe, scheduler
+from pwcmoe import channel, checkpoint, cli, config, corpus, harness, moe, scheduler
 from pwcmoe.corpus import TokenSequence
 from pwcmoe.predictor import ImportancePredictor
 from pwcmoe.rng import RngStream
+from pwcmoe.tensor import Tensor
 
 from conftest import reference_random_means, reference_topk_accuracy
 
@@ -124,6 +130,73 @@ def run_dir(trained, tmp_path) -> str:
     return str(tmp_path)
 
 
+class TestPrepareData:
+    """The bundle equals splitting, numbering and masking every text alone."""
+
+    @staticmethod
+    def per_text(examples, vocab, max_len):
+        return [(corpus.mask_privacy(corpus.tokenize(ex.text, vocab, max_len)), ex.label)
+                for ex in examples]
+
+    @staticmethod
+    def vocabulary(train):
+        vocab = corpus.Vocabulary()
+        for ex in train:
+            for word in corpus.split_text(ex.text):
+                vocab.add(word)
+        return vocab
+
+    def assert_same(self, got, want):
+        assert len(got) == len(want)
+        for (seq, label), (ref, ref_label) in zip(got, want):
+            assert (seq.tokens, seq.ids, seq.mask, label) == \
+                (ref.tokens, ref.ids, ref.mask, ref_label)
+
+    def test_csv_bundle_equals_tokenize_and_mask_privacy(self, tmp_path):
+        spec = tiny_spec()
+        spec.data.source = "csv"
+        spec.data.max_len = 5
+        spec.data.csv_train = str(tmp_path / "train.csv")
+        spec.data.csv_test = str(tmp_path / "test.csv")
+        (tmp_path / "train.csv").write_text(
+            'text,label\n"Pay 12 to Acct9x now, please!",0\n'
+            "hello hello card ending 4411 and more words here,1\nCard: ab1 AB1,0\n")
+        (tmp_path / "test.csv").write_text(
+            "text,label\nunseen words 77 card,1\nhello,0\n")
+        bundle = harness.prepare_data(spec)
+        train = corpus.load_csv(spec.data.csv_train)
+        test = corpus.load_csv(spec.data.csv_test)
+        vocab = self.vocabulary(train)
+        assert bundle.vocab.id_to_token == vocab.id_to_token and bundle.num_classes == 2
+        self.assert_same(bundle.train, self.per_text(train, vocab, 5))
+        self.assert_same(bundle.test, self.per_text(test, vocab, 5))
+
+    def test_synthetic_bundle_equals_tokenize_and_mask_privacy(self):
+        spec = tiny_spec(seed=4)
+        bundle = harness.prepare_data(spec)
+        rng = RngStream(spec.seed, "data/synthetic")
+        d = spec.data
+        train = corpus.synth_generate(rng.spawn("train"), d.synth_train, d.synth_classes,
+                                      d.synth_sensitive_rate)
+        test = corpus.synth_generate(rng.spawn("test"), d.synth_test, d.synth_classes,
+                                     d.synth_sensitive_rate)
+        vocab = self.vocabulary(train)
+        assert bundle.vocab.id_to_token == vocab.id_to_token
+        assert any(seq.mask.count(1) for seq, _ in bundle.test)
+        self.assert_same(bundle.train, self.per_text(train, vocab, d.max_len))
+        self.assert_same(bundle.test, self.per_text(test, vocab, d.max_len))
+
+    def test_empty_text_names_it(self, tmp_path):
+        spec = tiny_spec()
+        spec.data.source = "csv"
+        spec.data.csv_train = str(tmp_path / "train.csv")
+        spec.data.csv_test = str(tmp_path / "test.csv")
+        (tmp_path / "train.csv").write_text("text,label\na,0\nb,1\n")
+        (tmp_path / "test.csv").write_text("text,label\n?!,1\n")
+        with pytest.raises(ValueError, match="empty sequence after tokenization: '\\?!'"):
+            harness.prepare_data(spec)
+
+
 class TestCollaborativeForward:
     def test_matches_monolithic_forward(self, trained):
         _, _, bundle, model, _ = trained
@@ -228,17 +301,23 @@ class TestTopkCurve:
                                      harness.run_target_accuracy,
                                      harness.run_distance_sweep])
     def test_sweep_scores_each_example_once(self, trained, tmp_path, monkeypatch, run):
+        """One packed predictor forward per `EVAL_CHUNK` test examples, and
+        no per-example scoring."""
         bundle = trained[2]
-        calls = []
-        scores_np = ImportancePredictor.scores_np
+        sizes, single = [], []
+        predict_batch = ImportancePredictor.predict_batch
 
         def counting(self, embeddings):
-            calls.append(1)
-            return scores_np(self, embeddings)
+            sizes.append(len(embeddings))
+            return predict_batch(self, embeddings)
 
-        monkeypatch.setattr(ImportancePredictor, "scores_np", counting)
+        monkeypatch.setattr(ImportancePredictor, "predict_batch", counting)
+        monkeypatch.setattr(ImportancePredictor, "scores_np",
+                            lambda self, emb: single.append(1))
+        monkeypatch.setattr(harness, "EVAL_CHUNK", 10)
         run(multi_distance_spec(), run_dir(trained, tmp_path))
-        assert len(calls) == len(bundle.test)
+        assert len(bundle.test) == 24 and sizes == [10, 10, 4]
+        assert single == []
 
     def test_distance_rows_match_a_curve_per_distance(self, trained, tmp_path):
         _, _, bundle, model, predictor = trained
@@ -272,6 +351,9 @@ class TiedScores:
     def scores_np(self, embeddings):
         return embeddings[:, 0].copy()
 
+    def predict_batch(self, embeddings):
+        return Tensor(np.concatenate(embeddings)[:, :1])
+
 
 @pytest.fixture(scope="module")
 def tied():
@@ -296,28 +378,105 @@ def packed(scorer, actives):
     return out
 
 
+def rank_orders(scorer, rank):
+    """Per example, its non-sensitive positions in rank order."""
+    orders = []
+    for (seq, _), off in zip(scorer.data, scorer.offsets):
+        r = rank[off:off + seq.length]
+        assert sorted(r) == list(range(seq.length))
+        orders.append(np.argsort(r)[:seq.mask.count(0)].tolist())
+    return orders
+
+
+def tied_scores(scorer):
+    emb = scorer.model.embedding.data
+    return [TiedScores().scores_np(emb[seq.ids]) for seq, _ in scorer.data]
+
+
 class TestMasks:
     def test_topk_mask_matches_select_topk_under_ties(self, tied):
-        emb = tied.model.embedding.data
-        scores = [TiedScores().scores_np(emb[seq.ids]) for seq, _ in tied.data]
+        scores = tied_scores(tied)
         assert any(len(set(s[np.asarray(seq.mask) == 0])) < seq.mask.count(0)
                    for s, (seq, _) in zip(scores, tied.data))
-        ks = range(max(seq.mask.count(0) for seq, _ in tied.data) + 3)
-        masks = harness.topk_masks(tied, TiedScores(), ks)
-        for k in ks:
+        rank = harness.rank_tokens(tied, -np.concatenate(scores))
+        for k in range(max(seq.mask.count(0) for seq, _ in tied.data) + 3):
             decisions = [scheduler.select_topk(s, seq.mask, k)
                          for s, (seq, _) in zip(scores, tied.data)]
-            assert np.array_equal(masks[k], packed(tied, [
+            assert np.array_equal(tied.sensitive | (rank < k), packed(tied, [
                 moe.active_set(seq, d) for (seq, _), d in zip(tied.data, decisions)]))
 
     @pytest.mark.parametrize("k", [0, 1, 4, 20])
     def test_random_mask_matches_select_random(self, tied, k):
-        masks = list(harness.random_masks(tied, k, 2, 3, "r"))
-        for t, mask in enumerate(masks):
-            rng = RngStream(3, f"r/k{k}/trial{t}")
+        ranks = list(harness.random_ranks(tied, 2, 3, "r"))
+        assert len(ranks) == 2
+        for t, rank in enumerate(ranks):
+            rng = RngStream(3, f"r/trial{t}")
             actives = [moe.active_set(seq, scheduler.select_random(seq.mask, k, rng))
                        for seq, _ in tied.data]
-            assert np.array_equal(mask, packed(tied, actives))
+            assert np.array_equal(tied.sensitive | (rank < k), packed(tied, actives))
+
+    def test_packed_topk_ranks_equal_topk_order_under_ties(self, tied):
+        expected = [scheduler.topk_order(s, seq.mask)
+                    for s, (seq, _) in zip(tied_scores(tied), tied.data)]
+        assert rank_orders(tied, harness.topk_ranks(tied, TiedScores())) == expected
+
+    def test_packed_topk_ranks_equal_topk_order_of_trained_predictor(self, trained):
+        """Compared as token ids: B = 1 scoring can split two copies of one
+        word by an ulp, where packed scoring ties them exactly."""
+        _, _, bundle, model, predictor = trained
+        scorer = moe.MaskScorer(model, bundle.test)
+        orders = rank_orders(scorer, harness.topk_ranks(scorer, predictor))
+        for (seq, _), order in zip(bundle.test, orders):
+            expected = scheduler.topk_order(
+                predictor.scores_np(model.embedding.data[seq.ids]), seq.mask)
+            assert [seq.ids[i] for i in order] == [seq.ids[i] for i in expected]
+
+    def test_random_subsets_are_uniform(self, tied):
+        """Chi-square over every 2-subset of an example's 5 non-sensitive
+        tokens: 3,000 packed copies of the example, one key draw."""
+        seq = TokenSequence(ids=[2, 3, 4, 2, 3, 4, 2], mask=[0, 1, 0, 0, 1, 0, 0],
+                            tokens=["t"] * 7)
+        copies = 3000
+        scorer = moe.MaskScorer(tied.model, [(seq, 0)] * copies)
+        (rank,) = harness.random_ranks(scorer, 1, 11, "uniform")
+        chosen = (rank < 2).reshape(copies, seq.length)
+        assert not chosen[:, [1, 4]].any() and np.all(chosen.sum(axis=1) == 2)
+        subsets = list(itertools.combinations([0, 2, 3, 5, 6], 2))
+        counts = collections.Counter(tuple(np.flatnonzero(row)) for row in chosen)
+        assert set(counts) == set(subsets)
+        expected = copies / len(subsets)
+        chi2 = sum((counts[s] - expected) ** 2 / expected for s in subsets)
+        assert chi2 < 27.877  # chi-square, 9 degrees of freedom, p = 0.001
+
+
+def packing(masks):
+    """The three arrays `rank_tokens` reads, for examples with these masks."""
+    lengths = [len(m) for m in masks]
+    return types.SimpleNamespace(sensitive=np.concatenate(masks) == 1,
+                                 seg=np.repeat(np.arange(len(masks)), lengths),
+                                 offsets=np.cumsum([0] + lengths))
+
+
+class TestRankProperties:
+    @settings(max_examples=60, deadline=None)
+    @given(st.lists(st.lists(st.integers(0, 1), min_size=1, max_size=8),
+                    min_size=1, max_size=6),
+           st.randoms(use_true_random=False))
+    def test_budget_masks_uplink_min_k_nested_and_never_sensitive(self, masks, rnd):
+        scorer = packing(masks)
+        key = np.array([rnd.choice([0.0, 0.5, 1.0, rnd.random()])
+                        for _ in range(scorer.seg.size)])
+        rank = harness.rank_tokens(scorer, key)
+        n_ns = np.bincount(scorer.seg, weights=~scorer.sensitive, minlength=len(masks))
+        assert np.all(rank[scorer.sensitive] >= n_ns[scorer.seg[scorer.sensitive]])
+        previous = scorer.sensitive
+        for k in range(10):
+            active = scorer.sensitive | (rank < k)
+            uplinked = active & ~scorer.sensitive
+            assert np.array_equal(np.bincount(scorer.seg, weights=uplinked,
+                                              minlength=len(masks)), np.minimum(k, n_ns))
+            assert np.all(active[previous])
+            previous = active
 
 
 class TestCli:
@@ -488,7 +647,18 @@ class TestCompareRuns:
         data[-2] ^= 1  # "0.50" -> "0.51"
         path.write_bytes(bytes(data))
         assert load_script("compare_runs").main(runs) == 1
-        assert capsys.readouterr().out == "budget_sweep.csv: bytes differ\n"
+        assert capsys.readouterr().out == "budget_sweep.csv: 1 of 1 data lines differ: 1\n"
+
+    def test_csv_line_counts_and_names_the_rows_that_differ(self, runs, capsys):
+        topk = "budget,strategy,trials,accuracy\n1,topk,1,0.5\n2,topk,1,0.7\n"
+        for d, random_rows in zip(runs, (
+                "1,random,2,0.3\n2,random,2,0.4\n3,random,2,0.45\n4,random,2,0.5\n",
+                "1,random,3,0.3\n2,random,2,0.41\n3,random,2,0.46\n4,random,2,0.52\n")):
+            with open(os.path.join(d, "budget_sweep.csv"), "w") as fh:
+                fh.write(topk + random_rows)
+        assert load_script("compare_runs").main(runs) == 1
+        assert capsys.readouterr().out == ("budget_sweep.csv: 4 of 6 data lines differ: "
+                                           "1,random; 2,random,2; 3,random,2; ...\n")
 
     def test_checkpoint_line_names_arrays_and_counts_values(self, runs, capsys):
         checkpoint.save_container(os.path.join(runs[1], "predictor.pwcp"),

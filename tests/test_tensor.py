@@ -317,6 +317,17 @@ class TestIndexing:
         w = rand((4, 3), 12)
         fd_check(lambda: T.tsum(T.gather_rows(x, [0, 2, 2, 4]) * w), {"x": x})
 
+    @pytest.mark.parametrize("shape", [(5, 3), (5,), (5, 1)])
+    def test_gather_rows_gradient_bitwise_equals_add_at(self, shape):
+        x = Tensor(rand(shape, 14), requires_grad=True)
+        idx = [4, 0, 2, 2, 4, 4, 1]
+        g = rand((len(idx),) + shape[1:], 15) * 10.0 ** np.arange(len(idx)).reshape(
+            (-1,) + (1,) * (len(shape) - 1))
+        T.backward(T.tsum(T.gather_rows(x, idx) * g))
+        want = np.zeros(shape)
+        np.add.at(want, idx, g)
+        assert np.array_equal(x.grad, want) and x.grad.shape == shape
+
     def test_scatter_rows_places_rows(self):
         out = T.scatter_rows(Tensor([[1.0, 2.0]]), [2], 4)
         assert np.allclose(out.data, [[0, 0], [0, 0], [1, 2], [0, 0]])
