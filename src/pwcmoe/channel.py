@@ -25,7 +25,7 @@ class ChannelParams:
     noise_psd_dbm_hz: float = -174.0
     shadowing_std_db: float = 7.8
     t_ul_s: float = 0.1
-    bits_per_token: int = 1024  # d * bits_per_value; see token payload note
+    bits_per_token: int = 1024  # one offloaded token: d * bits_per_value bits
 
     def __post_init__(self):
         if self.f_c_ghz <= 0 or self.d_c_m < 1:
@@ -34,11 +34,6 @@ class ChannelParams:
             raise ValueError("bandwidth, uplink time, and bits per token must be positive")
         if self.shadowing_std_db < 0:
             raise ValueError("shadowing std must be nonnegative")
-
-
-def bits_per_token(d: int, bits_per_value: int = 16) -> int:
-    """Payload of one offloaded token: its d-dimensional embedding."""
-    return d * bits_per_value
 
 
 @dataclass

@@ -97,13 +97,24 @@ def save_params(path: str, magic: bytes, model):
 
 def load_params(path: str, magic: bytes, model_cls, config_cls):
     """Rebuild a model written by `save_params`: the config is cast field by
-    field from the dataclass field types, then every parameter is loaded."""
+    field from the dataclass field types, then every parameter is loaded; the
+    file holds exactly the model's parameters, each in its own shape."""
     cfg_raw, arrays = load_container(path, magic)
+    missing = [f.name for f in fields(config_cls) if f.name not in cfg_raw]
+    if missing:
+        raise CheckpointError(f"{path}: config block has no field {missing[0]!r}")
     config = config_cls(**{f.name: _CASTS[str(f.type)](cfg_raw[f.name])
                            for f in fields(config_cls)})
     model = model_cls(config, RngStream(0, "load"))
-    for k, p in model.parameters().items():
+    params = model.parameters()
+    extra = [k for k in arrays if k not in params]
+    if extra:
+        raise CheckpointError(f"{path}: array {extra[0]!r} is not a parameter of the model")
+    for k, p in params.items():
         if k not in arrays:
-            raise KeyError(f"{path}: missing parameter array {k!r}")
-        p.data = np.asarray(arrays[k], dtype=np.float64).reshape(p.data.shape)
+            raise CheckpointError(f"{path}: missing parameter array {k!r}")
+        if arrays[k].shape != p.data.shape:
+            raise CheckpointError(f"{path}: array {k!r} has shape {arrays[k].shape}, "
+                                  f"the model needs {p.data.shape}")
+        p.data = arrays[k]
     return model

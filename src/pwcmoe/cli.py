@@ -1,8 +1,9 @@
 """Command-line entry point.
 
 Subcommands: train, train-predictor, eval, sweep-budget, sweep-distance,
-target-accuracy, channel-probe. Exit codes: 0 success, 1 user error,
-2 internal error. All randomness derives from the single --seed value.
+target-accuracy, channel-probe. Exit codes: 0 success, 1 user error (any
+OSError or ValueError, one line on stderr), 2 internal error. All randomness
+derives from the single --seed value.
 
 Training and sweeps are deterministic in single-threaded mode: repeating a
 run with the same config and seed reproduces every output byte.
@@ -15,7 +16,7 @@ import os
 import sys
 import traceback
 
-from .config import ConfigError, ExperimentSpec, load_config
+from .config import ExperimentSpec, load_config
 from . import harness
 
 
@@ -56,11 +57,7 @@ def run(argv) -> int:
     args = build_parser().parse_args(argv)
     try:
         spec = _spec(args)
-    except ConfigError as exc:
-        sys.stderr.write(f"error: {exc}\n")
-        return 1
-    os.makedirs(args.out, exist_ok=True)
-    try:
+        os.makedirs(args.out, exist_ok=True)
         if args.mode == "train":
             harness.run_train(spec, args.out)
         elif args.mode == "train-predictor":
@@ -79,7 +76,7 @@ def run(argv) -> int:
                                         emit_gnuplot=args.emit_gnuplot)
         elif args.mode == "channel-probe":
             harness.run_channel_probe(spec)
-    except (FileNotFoundError, ConfigError, ValueError) as exc:
+    except (OSError, ValueError) as exc:
         sys.stderr.write(f"error: {exc}\n")
         return 1
     except Exception:

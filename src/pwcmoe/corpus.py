@@ -38,12 +38,6 @@ class Vocabulary:
     token_to_id: dict = field(default_factory=dict)
     id_to_token: list = field(default_factory=lambda: ["<pad>", "<unk>"])
 
-    def __post_init__(self):
-        if not self.token_to_id and len(self.id_to_token) > 2:
-            self.token_to_id = {
-                t: i for i, t in enumerate(self.id_to_token) if i >= 2
-            }
-
     def __len__(self):
         return len(self.id_to_token)
 
@@ -55,9 +49,6 @@ class Vocabulary:
 
     def lookup(self, token: str) -> int:
         return self.token_to_id.get(token, UNK_ID)
-
-    def token(self, idx: int) -> str:
-        return self.id_to_token[idx]
 
 
 @dataclass
@@ -94,10 +85,6 @@ def tokenize(text: str, vocab: Vocabulary, max_len: int = DEFAULT_MAX_LEN) -> To
         raise ValueError(f"empty sequence after tokenization: {text!r}")
     ids = [vocab.lookup(t) for t in tokens]
     return TokenSequence(ids=ids, mask=[0] * len(ids), tokens=tokens)
-
-
-def detokenize(ids: list, vocab: Vocabulary) -> str:
-    return " ".join(vocab.token(i) for i in ids)
 
 
 def contains_digit(token: str) -> bool:
@@ -161,14 +148,6 @@ def load_csv(path: str, num_classes: Optional[int] = None) -> list:
     if not examples:
         raise ValueError(f"{path}: no examples")
     return examples
-
-
-def save_csv(examples: list, path: str):
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["text", "label"])
-        for ex in examples:
-            writer.writerow([ex.text, ex.label])
 
 
 def infer_num_classes(examples: list) -> int:

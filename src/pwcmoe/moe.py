@@ -114,7 +114,6 @@ def aggregate(rows: Tensor, w: Tensor, seg, n_segments: int) -> tuple:
 class ForwardResult:
     logits: Tensor          # (B, C)
     alpha: Tensor           # (n_active, 1) pooling weights of the active tokens
-    active: np.ndarray      # active token positions in the concatenated batch
     z: Tensor               # (N, K) soft routing probabilities
     routed: Tensor          # (N, K) straight-through one-hot (or z in soft mode)
     assign: np.ndarray      # selected expert per token
@@ -219,9 +218,8 @@ class MoEModel(T.Module):
         # training pools every token: skip the gather and its scatter-add backward
         rows = h_prime if active.size == n_tok else T.gather_rows(h_prime, active)
         alpha, logits = self.classify(rows, seg[active], len(batch))
-        return ForwardResult(logits=logits, alpha=alpha, active=active, z=z,
-                             routed=routed, assign=assign, h=h, h_prime=h_prime,
-                             mask=mask, seg=seg)
+        return ForwardResult(logits=logits, alpha=alpha, z=z, routed=routed,
+                             assign=assign, h=h, h_prime=h_prime, mask=mask, seg=seg)
 
     def classify(self, rows: Tensor, seg, n_examples: int) -> tuple:
         """Pool expert-output rows per example (`seg`), then layer norm and
@@ -265,11 +263,10 @@ def _concat_batch(batch, actives=None):
     return ids, mask, seg, np.flatnonzero(flags)
 
 
-def batch_forward(model: MoEModel, batch, rng=None, mode: str = "eval",
-                  actives=None):
+def batch_forward(model: MoEModel, batch, mode: str = "eval", actives=None):
     """`MoEModel.forward_batch` as (logits (B, C), z (N_tok, K), mask array,
     seg ids)."""
-    res = model.forward_batch(batch, rng=rng, mode=mode, actives=actives)
+    res = model.forward_batch(batch, mode=mode, actives=actives)
     return res.logits, res.z, res.mask, res.seg
 
 

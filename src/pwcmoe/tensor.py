@@ -36,10 +36,6 @@ def no_grad():
         _grad_enabled = prev
 
 
-def grad_enabled() -> bool:
-    return _grad_enabled
-
-
 class ShapeError(ValueError):
     pass
 
@@ -76,29 +72,11 @@ class Tensor:
     def __add__(self, other):
         return add(self, other)
 
-    __radd__ = __add__
-
     def __mul__(self, other):
         return mul(self, other)
 
-    __rmul__ = __mul__
-
     def __sub__(self, other):
         return add(self, mul(other, -1.0))
-
-    def __rsub__(self, other):
-        return add(mul(self, -1.0), other)
-
-    def __neg__(self):
-        return mul(self, -1.0)
-
-    def __truediv__(self, other):
-        if isinstance(other, Tensor):
-            raise TypeError("tensor/tensor division not supported")
-        return mul(self, 1.0 / float(other))
-
-    def __matmul__(self, other):
-        return matmul(self, other)
 
     def __repr__(self):
         return f"Tensor(shape={self.data.shape}, requires_grad={self.requires_grad})"
@@ -212,22 +190,16 @@ def log(a: Tensor) -> Tensor:
     return _make(np.log(a.data), (a,), backward)
 
 
-def tsum(a: Tensor, axis=None, keepdims: bool = False) -> Tensor:
-    data = a.data.sum(axis=axis, keepdims=keepdims)
-
+def tsum(a: Tensor) -> Tensor:
     def backward(g):
         if a.requires_grad:
-            gg = np.asarray(g)
-            if axis is not None and not keepdims:
-                gg = np.expand_dims(gg, axis)
-            a._accum_grad(np.broadcast_to(gg, a.data.shape).copy())
+            a._accum_grad(np.broadcast_to(g, a.data.shape).copy())
 
-    return _make(data, (a,), backward)
+    return _make(a.data.sum(), (a,), backward)
 
 
-def tmean(a: Tensor, axis=None, keepdims: bool = False) -> Tensor:
-    n = a.data.size if axis is None else a.data.shape[axis]
-    return tsum(a, axis=axis, keepdims=keepdims) * (1.0 / n)
+def tmean(a: Tensor) -> Tensor:
+    return tsum(a) * (1.0 / a.data.size)
 
 
 def reshape(a: Tensor, shape) -> Tensor:
@@ -271,20 +243,6 @@ def scatter_rows(a: Tensor, idx, num_rows: int) -> Tensor:
             a._accum_grad(g[idx])
 
     return _make(data, (a,), backward)
-
-
-def narrow(a: Tensor, axis: int, start: int, length: int) -> Tensor:
-    sl = [slice(None)] * a.data.ndim
-    sl[axis] = slice(start, start + length)
-    sl = tuple(sl)
-
-    def backward(g):
-        if a.requires_grad:
-            acc = np.zeros_like(a.data)
-            acc[sl] = g
-            a._accum_grad(acc)
-
-    return _make(a.data[sl].copy(), (a,), backward)
 
 
 def gather_elems(a: Tensor, rows, cols) -> Tensor:

@@ -509,6 +509,53 @@ class TestCli:
             assert err.startswith("error: ") and "truncated" in err
             assert err.count("\n") == 1
 
+    @pytest.mark.parametrize("edit", ["drop-config-field", "drop-array", "extra-array",
+                                      "cut-array"])
+    def test_eval_on_mismatched_checkpoint_exits_1(self, tmp_path, capsys, edit):
+        cfg = tmp_path / "tiny.cfg"
+        cfg.write_text(TINY_CONFIG_TEXT)
+        out = str(tmp_path / "run")
+        assert cli.run(["train", "--config", str(cfg), "--out", out]) == 0
+        path = os.path.join(out, "model.pwcm")
+        config, arrays = checkpoint.load_container(path, checkpoint.MAGIC_MODEL)
+        if edit == "drop-config-field":
+            del config["d"]
+            message = "config block has no field 'd'"
+        elif edit == "drop-array":
+            del arrays["w_o"]
+            message = "missing parameter array 'w_o'"
+        elif edit == "extra-array":
+            arrays["extra"] = np.zeros(3)
+            message = "array 'extra' is not a parameter of the model"
+        else:
+            arrays["w_o"] = arrays["w_o"][:-1]
+            message = "array 'w_o' has shape (7, 4), the model needs (8, 4)"
+        checkpoint.save_container(path, checkpoint.MAGIC_MODEL, config, arrays)
+        capsys.readouterr()
+        assert cli.run(["eval", "--config", str(cfg), "--out", out]) == 1
+        err = capsys.readouterr().err
+        assert err == f"error: {path}: {message}\n"
+
+    @pytest.mark.parametrize("case", ["config-not-utf8", "config-is-directory",
+                                      "out-is-a-file"])
+    def test_bad_path_exits_1_with_one_line(self, tmp_path, capsys, case):
+        cfg, out = tmp_path / "tiny.cfg", tmp_path / "run"
+        cfg.write_text(TINY_CONFIG_TEXT)
+        if case == "config-not-utf8":
+            cfg.write_bytes(TINY_CONFIG_TEXT.encode() + b"# \xff\n")
+            message = "can't decode byte 0xff"
+        elif case == "config-is-directory":
+            cfg = tmp_path / "configs"
+            cfg.mkdir()
+            message = f"Is a directory: '{cfg}'"
+        else:
+            out.write_text("")
+            message = f"File exists: '{out}'"
+        assert cli.run(["train", "--config", str(cfg), "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and message in err
+        assert err.count("\n") == 1
+
     def test_checkpoint_built_for_other_data_exits_1(self, tmp_path, capsys):
         cfg = tmp_path / "tiny.cfg"
         cfg.write_text(TINY_CONFIG_TEXT)
@@ -596,6 +643,8 @@ class TestCli:
         pytest.param("data.source = csv\ndata.csv_train = {tmp}/header_only.csv\n"
                      "data.csv_test = {tmp}/header_only.csv",
                      "header_only.csv: no examples", id="header-only-csv"),
+        pytest.param("data.source = csv\ndata.csv_train = {tmp}\ndata.csv_test = {tmp}",
+                     "Is a directory", id="csv-is-directory"),
     ])
     def test_bad_config_value_exits_1_with_one_line(self, tmp_path, capsys, line, message):
         (tmp_path / "header_only.csv").write_text("text,label\n")

@@ -336,13 +336,6 @@ class TestIndexing:
         with pytest.raises(IndexError):
             T.gather_rows(Tensor(np.zeros((3, 2))), [5])
 
-    def test_narrow_matches_numpy_slicing(self):
-        x = Tensor(rand((3, 6), 13))
-        for axis, start, length in ((1, 0, 2), (1, 2, 4), (0, 1, 2), (0, 2, 1)):
-            sl = [slice(None)] * 2
-            sl[axis] = slice(start, start + length)
-            assert np.array_equal(T.narrow(x, axis, start, length).data, x.data[tuple(sl)])
-
     def test_masked_fill_blocks_gradient(self):
         x = Tensor([1.0, 2.0], requires_grad=True)
         out = T.masked_fill(x, np.array([False, True]), T.NEG_INF)

@@ -1,0 +1,95 @@
+"""Every public function, class and method of `src/pwcmoe` has a caller.
+
+A name counts as used when `src/` (outside the name's own definition),
+`scripts/` or `perfbench/` mentions it, as a bare name or as an attribute.
+The check reads the sources with `ast` and imports nothing.
+"""
+
+import ast
+import collections
+import os
+
+ROOT = os.path.join(os.path.dirname(__file__), "..")
+
+# names that only tests call, each kept as a reference for a test
+TEST_ONLY = {
+    "gather_elems": "with scatter_rows, builds the unfused expert graph that "
+                    "expert_dispatch is checked against bitwise",
+    "scatter_rows": "see gather_elems",
+    "select_random": "the per-example random ranking the sweep's rank arrays "
+                     "are checked against",
+    "brute_force_oracle": "the exhaustive minimal-budget search the acceptance "
+                          "tests compare offloading with",
+    "keyword_oracle_label": "the keyword majority vote that shows the synthetic "
+                            "corpus is learnable",
+    "soft_expert_usage": "the per-group expert usage of the load-balancing "
+                         "acceptance test",
+    "group_usage_ratio": "the max/min usage ratio of the same test",
+}
+
+
+def python_files(*dirs):
+    for d in dirs:
+        for base, _, names in os.walk(os.path.join(ROOT, d)):
+            for name in sorted(names):
+                if name.endswith(".py"):
+                    yield os.path.join(base, name)
+
+
+def parse(path):
+    with open(path, encoding="utf-8") as fh:
+        return ast.parse(fh.read(), path)
+
+
+def mentioned(node) -> list:
+    """Every name and attribute that `node`'s subtree reads or writes."""
+    out = []
+    for n in ast.walk(node):
+        if isinstance(n, ast.Name):
+            out.append(n.id)
+        elif isinstance(n, ast.Attribute):
+            out.append(n.attr)
+        elif isinstance(n, ast.alias):
+            out.append(n.name.split(".")[-1])
+    return out
+
+
+def public_definitions(tree):
+    """Module-level functions and classes, and the methods of those classes."""
+    for node in tree.body:
+        if isinstance(node, ast.ClassDef):
+            yield node
+            for item in node.body:
+                if isinstance(item, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                    yield item
+        elif isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            yield node
+
+
+def unreferenced() -> list:
+    """`path:line name` of every public definition that nothing uses."""
+    outside = set()
+    for path in python_files("scripts", "perfbench"):
+        outside.update(mentioned(parse(path)))
+    trees = {path: parse(path) for path in python_files(os.path.join("src", "pwcmoe"))}
+    inside = collections.Counter(name for tree in trees.values() for name in mentioned(tree))
+    missing = []
+    for path, tree in trees.items():
+        for node in public_definitions(tree):
+            if node.name.startswith("_"):
+                continue
+            own = mentioned(node).count(node.name)
+            if inside[node.name] == own and node.name not in outside:
+                missing.append(f"{os.path.relpath(path, ROOT)}:{node.lineno} {node.name}")
+    return missing
+
+
+def test_every_public_name_has_a_caller():
+    missing = [m for m in unreferenced() if m.split()[-1] not in TEST_ONLY]
+    assert missing == [], "no stage, script or benchmark uses: " + ", ".join(missing)
+
+
+def test_every_test_only_name_is_still_defined_and_unused():
+    # a name on the list that gains a caller, or goes, leaves the list too
+    unused = {m.split()[-1] for m in unreferenced()}
+    assert sorted(set(TEST_ONLY) - unused) == []
