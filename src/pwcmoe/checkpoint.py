@@ -97,14 +97,27 @@ def save_params(path: str, magic: bytes, model):
 
 def load_params(path: str, magic: bytes, model_cls, config_cls):
     """Rebuild a model written by `save_params`: the config is cast field by
-    field from the dataclass field types, then every parameter is loaded; the
-    file holds exactly the model's parameters, each in its own shape."""
+    field from the dataclass field types and checked before the model is
+    built, then every parameter is loaded; the file holds exactly the model's
+    parameters, each in its own shape."""
     cfg_raw, arrays = load_container(path, magic)
-    missing = [f.name for f in fields(config_cls) if f.name not in cfg_raw]
-    if missing:
-        raise CheckpointError(f"{path}: config block has no field {missing[0]!r}")
-    config = config_cls(**{f.name: _CASTS[str(f.type)](cfg_raw[f.name])
-                           for f in fields(config_cls)})
+    values = {}
+    for f in fields(config_cls):
+        raw, kind = cfg_raw.get(f.name), str(f.type)
+        if raw is None:
+            raise CheckpointError(f"{path}: config block has no field {f.name!r}")
+        try:
+            values[f.name] = _CASTS[kind](raw)
+        except ValueError:
+            raise CheckpointError(
+                f"{path}: config field {f.name!r}: cannot read {raw!r} as {kind}") from None
+        # every int but the epoch count is a size; a model may be saved untrained
+        if kind == "int" and f.name != "epochs" and values[f.name] < 1:
+            raise CheckpointError(f"{path}: config field {f.name!r} must be >= 1, got {raw}")
+    try:
+        config = config_cls(**values)
+    except ValueError as exc:
+        raise CheckpointError(f"{path}: {exc}") from None
     model = model_cls(config, RngStream(0, "load"))
     params = model.parameters()
     extra = [k for k in arrays if k not in params]

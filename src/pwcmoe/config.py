@@ -179,6 +179,8 @@ def load_config(path: str) -> ExperimentSpec:
             text = fh.read()
     except FileNotFoundError:
         raise ConfigError(f"config file not found: {path}")
+    except UnicodeDecodeError as exc:
+        raise ConfigError(f"{path}: not UTF-8: {exc}") from None
     return spec_from_entries(parse_config_text(text))
 
 

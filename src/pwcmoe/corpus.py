@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import csv
 import functools
+import io
 import itertools
 import re
 from dataclasses import dataclass, field
@@ -128,23 +129,27 @@ def load_csv(path: str, num_classes: Optional[int] = None) -> list:
     Labels must be integers in a contiguous range starting at 0 (checked
     against num_classes when given).
     """
+    try:
+        with open(path, newline="", encoding="utf-8") as fh:
+            content = fh.read()
+    except UnicodeDecodeError as exc:
+        raise ValueError(f"{path}: not UTF-8: {exc}") from None
     examples = []
-    with open(path, newline="", encoding="utf-8") as fh:
-        reader = csv.reader(fh)
-        header = next(reader, None)
-        if header is None or [h.strip().lower() for h in header[:2]] != ["text", "label"]:
-            raise ValueError(f"{path}: expected header 'text,label'")
-        for lineno, row in enumerate(reader, start=2):
-            if len(row) != 2:
-                raise ValueError(f"{path}: malformed row at line {lineno}")
-            text, label_s = row
-            try:
-                label = int(label_s)
-            except ValueError:
-                raise ValueError(f"{path}: non-integer label at line {lineno}")
-            if label < 0 or (num_classes is not None and label >= num_classes):
-                raise ValueError(f"{path}: label {label} out of range at line {lineno}")
-            examples.append(Example(text=text, label=label))
+    reader = csv.reader(io.StringIO(content, newline=""))
+    header = next(reader, None)
+    if header is None or [h.strip().lower() for h in header[:2]] != ["text", "label"]:
+        raise ValueError(f"{path}: expected header 'text,label'")
+    for lineno, row in enumerate(reader, start=2):
+        if len(row) != 2:
+            raise ValueError(f"{path}: malformed row at line {lineno}")
+        text, label_s = row
+        try:
+            label = int(label_s)
+        except ValueError:
+            raise ValueError(f"{path}: non-integer label at line {lineno}")
+        if label < 0 or (num_classes is not None and label >= num_classes):
+            raise ValueError(f"{path}: label {label} out of range at line {lineno}")
+        examples.append(Example(text=text, label=label))
     if not examples:
         raise ValueError(f"{path}: no examples")
     return examples

@@ -59,13 +59,11 @@ def gate_logits(h: Tensor, w_g: Tensor, b_g: Tensor) -> Tensor:
 
 
 def privacy_isolation_mask(mask, num_experts: int, k_p: int) -> np.ndarray:
-    """Boolean (L, K) matrix of inadmissible (token, expert) pairs."""
-    mask = np.asarray(mask, dtype=int)
-    L = mask.shape[0]
-    out = np.zeros((L, num_experts), dtype=bool)
-    out[mask == 1, k_p:] = True
-    out[mask == 0, :k_p] = True
-    return out
+    """Boolean (L, K) matrix of inadmissible (token, expert) pairs: a
+    sensitive token (mask 1) may not reach expert k_p or above, and a
+    non-sensitive one (mask 0) no expert below k_p."""
+    sensitive = np.asarray(mask).reshape(-1, 1) == 1
+    return sensitive != (np.arange(num_experts) < k_p)
 
 
 def apply_privacy_isolation(g: Tensor, mask, k_p: int) -> Tensor:
@@ -77,19 +75,22 @@ def apply_privacy_isolation(g: Tensor, mask, k_p: int) -> Tensor:
     return T.masked_fill(g, privacy_isolation_mask(mask, K, k_p), T.NEG_INF)
 
 
-def gumbel_softmax(g_prime: Tensor, tau: float, gamma: np.ndarray) -> Tensor:
+def gumbel_softmax(g_prime: Tensor, tau: float, gamma: Optional[np.ndarray]) -> Tensor:
     """Soft expert-selection probabilities with Gumbel noise added to the
-    admissible logits. Sentinel entries stay exactly zero."""
+    admissible logits (none when `gamma` is None). Sentinel entries stay
+    exactly zero."""
+    noisy = g_prime if gamma is None else g_prime + Tensor(gamma)
     try:
-        return T.softmax(g_prime + Tensor(gamma), temperature=tau, axis=-1)
+        return T.softmax(noisy, temperature=tau, axis=-1)
     except ValueError as exc:
         raise ValueError("no admissible expert") from exc
 
 
-def hard_select(z: Tensor, g_prime: Tensor, gamma: np.ndarray):
-    """One-hot selection by argmax of noisy logits, with a straight-through
-    backward pass: gradients flow as if the output were z."""
-    noisy = g_prime.data + gamma
+def hard_select(z: Tensor, g_prime: Tensor, gamma: Optional[np.ndarray]):
+    """One-hot selection by argmax of noisy logits (none when `gamma` is
+    None), with a straight-through backward pass: gradients flow as if the
+    output were z."""
+    noisy = g_prime.data if gamma is None else g_prime.data + gamma
     assign = noisy.argmax(axis=1)
     one_hot = np.zeros_like(z.data)
     one_hot[np.arange(len(assign)), assign] = 1.0
@@ -103,10 +104,11 @@ def aggregate(rows: Tensor, w: Tensor, seg, n_segments: int) -> tuple:
     a token that is not pooled never enters the softmax. Returns (alpha
     (n, 1), pooled (n_segments, d)).
     """
-    seg = np.asarray(seg, dtype=np.intp)
-    if np.bincount(seg, minlength=n_segments).min() == 0:
-        raise ValueError("no tokens to aggregate")
-    alpha = T.segment_softmax(T.matmul(rows, w), seg, n_segments)  # (n, 1)
+    scores = T.matmul(rows, w)
+    try:
+        alpha = T.segment_softmax(scores, seg, n_segments)  # (n, 1)
+    except ValueError as exc:
+        raise ValueError("no tokens to aggregate") from exc
     return alpha, T.segment_sum(alpha * rows, seg, n_segments)
 
 
@@ -200,16 +202,15 @@ class MoEModel(T.Module):
         h = T.gather_rows(self.embedding, ids)
         g = gate_logits(h, self.w_g, self.b_g)
         g_prime = apply_privacy_isolation(g, mask, c.num_privacy_experts)
+        gamma = None  # eval and soft modes add no noise
         if mode == "train":
             if rng is None:
                 raise ValueError("train mode needs an RngStream for Gumbel noise")
             gamma = rng.gumbel((n_tok, c.num_experts))
-        else:
-            gamma = np.zeros((n_tok, c.num_experts))
         z = gumbel_softmax(g_prime, c.tau, gamma)
         if mode == "soft":
             routed = z
-            assign = (g_prime.data + gamma).argmax(axis=1)
+            assign = g_prime.data.argmax(axis=1)
             h_prime = self.route_soft(h, z)
         else:
             routed, assign = hard_select(z, g_prime, gamma)
@@ -250,17 +251,17 @@ def _concat_batch(batch, actives=None):
     plus the sorted positions of the active tokens (`actives[e]` indexes
     example e's own tokens, as numpy indexing would)."""
     seqs = [seq for seq, _ in batch]
-    lengths = [seq.length for seq in seqs]
+    lengths = np.array([seq.length for seq in seqs])
     ids = np.concatenate([seq.ids for seq in seqs])
     mask = np.concatenate([seq.mask for seq in seqs])
-    seg = np.repeat(np.arange(len(seqs)), lengths)
+    seg = np.arange(len(seqs)).repeat(lengths)
     if actives is None:
         return ids, mask, seg, np.arange(ids.size)
     flags = np.zeros(ids.size, dtype=bool)
-    starts = np.cumsum(lengths) - lengths
-    for start, n, act in zip(starts, lengths, actives, strict=True):
+    starts = lengths.cumsum() - lengths
+    for start, n, act in zip(starts.tolist(), lengths.tolist(), actives, strict=True):
         flags[start:start + n][act] = True
-    return ids, mask, seg, np.flatnonzero(flags)
+    return ids, mask, seg, flags.nonzero()[0]
 
 
 def batch_forward(model: MoEModel, batch, mode: str = "eval", actives=None):

@@ -32,15 +32,13 @@ class OffloadDecision:
             )
 
 
-def _nonsensitive(mask: Sequence[int]) -> list:
-    return [i for i, m in enumerate(mask) if m == 0]
-
-
 def topk_order(scores, mask: Sequence[int]) -> list:
     """Positions of the non-sensitive tokens, highest score first; equal
     scores go to the lower position."""
-    s = np.asarray(getattr(scores, "data", scores), dtype=float).reshape(-1).tolist()
-    return sorted(_nonsensitive(mask), key=lambda i: (-s[i], i))
+    s = np.asarray(getattr(scores, "data", scores), dtype=float).reshape(-1)
+    ns = (np.asarray(mask) == 0).nonzero()[0]
+    # a stable sort keeps equal scores (0.0 and -0.0 too) in position order
+    return ns[(-s[ns]).argsort(kind="stable")].tolist()
 
 
 def select_topk(scores, mask: Sequence[int], budget: int) -> OffloadDecision:
@@ -69,7 +67,7 @@ def brute_force_oracle(
     (OffloadDecision, confidence). Deterministic: ties keep the first subset
     in size-then-lexicographic enumeration order.
     """
-    ns = _nonsensitive(mask)
+    ns = [i for i, m in enumerate(mask) if m == 0]
     if len(ns) > ORACLE_MAX_TOKENS:
         raise ValueError(
             f"oracle instance too large: {len(ns)} non-sensitive tokens "

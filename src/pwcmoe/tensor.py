@@ -61,10 +61,10 @@ class Tensor:
         self.grad = None
 
     def _accum_grad(self, g: np.ndarray):
-        # a private copy on first write: `add` hands one `g` to both parents
-        # and `reshape` hands a view of the child's grad
+        # the first `g` is kept: backwards hand on arrays no other tensor
+        # holds (`_unbroadcast`, `reshape` and `straight_through` copy theirs)
         if self.grad is None:
-            self.grad = np.array(g, dtype=np.float64)
+            self.grad = g
         else:
             self.grad += g
 
@@ -118,13 +118,15 @@ def _make(data: np.ndarray, parents: tuple, backward_fn) -> Tensor:
 
 
 def _unbroadcast(g: np.ndarray, shape) -> np.ndarray:
-    """Sum gradient over axes that numpy broadcasting expanded."""
-    while g.ndim > len(shape):
-        g = g.sum(axis=0)
+    """Sum gradient over axes that numpy broadcasting expanded; a copy of `g`
+    when nothing was summed, so the caller owns the result."""
+    out = g
+    while out.ndim > len(shape):
+        out = out.sum(axis=0)
     for axis, n in enumerate(shape):
-        if n == 1 and g.shape[axis] != 1:
-            g = g.sum(axis=axis, keepdims=True)
-    return g.reshape(shape)
+        if n == 1 and out.shape[axis] != 1:
+            out = out.sum(axis=axis, keepdims=True)
+    return (out.copy() if out is g else out).reshape(shape)
 
 
 # -- elementwise / linear ops ---------------------------------------------
@@ -207,7 +209,7 @@ def reshape(a: Tensor, shape) -> Tensor:
 
     def backward(g):
         if a.requires_grad:
-            a._accum_grad(g.reshape(old))
+            a._accum_grad(g.reshape(old).copy())
 
     return _make(a.data.reshape(shape), (a,), backward)
 
@@ -284,7 +286,7 @@ def straight_through(soft: Tensor, hard_values: np.ndarray) -> Tensor:
 
     def backward(g):
         if soft.requires_grad:
-            soft._accum_grad(g)
+            soft._accum_grad(g.copy())
 
     return _make(hard_values, (soft,), backward)
 
@@ -306,8 +308,7 @@ def softmax(a: Tensor, temperature: float = 1.0, axis: int = -1) -> Tensor:
         raise ValueError("no admissible component: softmax input fully masked")
     safe = np.where(masked, -np.inf, x / temperature)
     m = safe.max(axis=axis, keepdims=True)
-    e = np.exp(safe - m)
-    e = np.where(masked, 0.0, e)
+    e = np.exp(safe - m)  # exactly 0 where masked
     z = e / e.sum(axis=axis, keepdims=True)
 
     def backward(g):
@@ -321,6 +322,8 @@ def softmax(a: Tensor, temperature: float = 1.0, axis: int = -1) -> Tensor:
 def _segment_positions(seg: np.ndarray, n_segments: int) -> tuple:
     """(position of each row in its segment, rows per segment); segments are
     contiguous runs of `seg`, numbered 0..n_segments-1 in order, none empty."""
+    if n_segments == 1 and seg.size and not seg.any():
+        return np.arange(seg.size), np.array([seg.size])
     counts = None
     if seg.size and seg[0] >= 0 and not (seg[1:] < seg[:-1]).any():
         counts = np.bincount(seg, minlength=n_segments)
@@ -349,13 +352,19 @@ def segment_sum(a: Tensor, seg, n_segments: int) -> Tensor:
 def segment_softmax(a: Tensor, seg, n_segments: int) -> Tensor:
     """Softmax of a column of scores (n, 1) within each segment: row i is
     normalized over the rows j with seg[j] == seg[i]. Computed as
-    e * (1 / segment sum of e), the sums by bincount."""
+    e * (1 / segment sum of e), the sums by bincount. Segments are
+    contiguous, in order and non-empty."""
     seg = np.asarray(seg, dtype=np.intp)
+    _segment_positions(seg, n_segments)
     x = a.data
     # per-segment max as a gradient-free shift
-    shift = np.full(n_segments, -np.inf)
-    np.maximum.at(shift, seg, x.reshape(-1))
-    e = np.exp(x - shift[seg].reshape(x.shape))
+    if n_segments == 1:
+        shift = x.max()
+    else:
+        shift = np.full(n_segments, -np.inf)
+        np.maximum.at(shift, seg, x.reshape(-1))
+        shift = shift[seg].reshape(x.shape)
+    e = np.exp(x - shift)
     sums = np.bincount(seg, weights=e.reshape(-1), minlength=n_segments)
     r = (1.0 / sums)[seg].reshape(x.shape)
 
@@ -423,47 +432,50 @@ def expert_dispatch(h: Tensor, routed: Tensor, assign, experts, rows=None) -> Te
     than accumulated, and an expert with no row gets no gradient at all.
     `experts[j]` is a dict of the tensors w1, b1, w2, b2."""
     assign = np.asarray(assign, dtype=np.intp)
-    pos = np.arange(assign.size)
-    if rows is not None:
-        pos = np.unique(pos[np.asarray(rows, dtype=np.intp)])
-    # a stable sort keeps each expert's rows ascending
+    keep = np.zeros(assign.size, dtype=bool)
+    keep[slice(None) if rows is None else np.asarray(rows, dtype=np.intp)] = True
+    pos = keep.nonzero()[0]
+    # rows grouped by expert, one block each; a stable sort keeps each
+    # expert's rows ascending
     order = pos[np.argsort(assign[pos], kind="stable")]
     counts = np.bincount(assign[pos], minlength=len(experts))
-    out = np.zeros(h.data.shape)
+    ends = counts.cumsum()
+    x = h.data[order]
+    gate = routed.data[order, assign[order]].reshape(-1, 1)
+    y = np.empty(x.shape)
     saved, params = [], []
-    for j, idx in enumerate(np.split(order, np.cumsum(counts)[:-1])):
-        if not idx.size:
-            continue
+    for j in counts.nonzero()[0]:
+        blk = slice(ends[j] - counts[j], ends[j])
         e = experts[j]
         params.extend(e.values())
-        x = h.data[idx]
-        a = x @ e["w1"].data + e["b1"].data
+        a = x[blk] @ e["w1"].data + e["b1"].data
         on = a > 0
         r = a * on
         o = r @ e["w2"].data + e["b2"].data
-        gate = routed.data[idx, j].reshape(-1, 1)
-        out[idx] = o * gate
-        saved.append((j, idx, x, on, r, o, gate))
+        y[blk] = o * gate[blk]
+        saved.append((e, blk, on, r, o))
+    out = np.zeros(h.data.shape)
+    out[order] = y
 
     def backward(g):
-        gh = np.zeros(h.data.shape) if h.requires_grad else None
-        gr = np.zeros(routed.data.shape) if routed.requires_grad else None
-        for j, idx, x, on, r, o, gate in saved:
-            e = experts[j]
-            go = g[idx]
-            if gr is not None:
-                gr[idx, j] = (go * o).sum(axis=1)
-            go = go * gate
+        g = g[order]
+        gx, gg = np.empty(x.shape), np.empty(gate.shape)
+        for e, blk, on, r, o in saved:
+            go = g[blk]
+            gg[blk, 0] = (go * o).sum(axis=1)
+            go = go * gate[blk]
             ga = (go @ e["w2"].data.T) * on
             for name, grad in (("b2", go.sum(axis=0)), ("w2", r.T @ go),
-                               ("b1", ga.sum(axis=0)), ("w1", x.T @ ga)):
+                               ("b1", ga.sum(axis=0)), ("w1", x[blk].T @ ga)):
                 if e[name].requires_grad:
                     e[name]._accum_grad(grad)
-            if gh is not None:
-                gh[idx] = ga @ e["w1"].data.T
-        if gh is not None:
+            gx[blk] = ga @ e["w1"].data.T
+        gh, gr = np.zeros(h.data.shape), np.zeros(routed.data.shape)
+        gh[order] = gx
+        gr[order, assign[order]] = gg[:, 0]
+        if h.requires_grad:
             h._accum_grad(gh)
-        if gr is not None:
+        if routed.requires_grad:
             routed._accum_grad(gr)
 
     return _make(out, (h, routed, *params), backward)
@@ -472,17 +484,19 @@ def expert_dispatch(h: Tensor, routed: Tensor, assign, experts, rows=None) -> Te
 def layer_norm(x: Tensor, gain: Tensor, bias: Tensor, epsilon: float = 1e-5) -> Tensor:
     """Normalize over the last axis, then scale and shift."""
     gain, bias = as_tensor(gain), as_tensor(bias)
-    mu = x.data.mean(axis=-1, keepdims=True)
-    var = x.data.var(axis=-1, keepdims=True)
+    # sum / n is bitwise numpy's mean and var, without their per-call overhead
+    n = x.data.shape[-1]
+    dev = x.data - x.data.sum(axis=-1, keepdims=True) / n
+    var = (dev * dev).sum(axis=-1, keepdims=True) / n
     inv = 1.0 / np.sqrt(var + epsilon)
-    y = (x.data - mu) * inv
+    y = dev * inv
     data = gain.data * y + bias.data
 
     def backward(g):
         gy = g * gain.data
         if x.requires_grad:
-            gmean = gy.mean(axis=-1, keepdims=True)
-            gymean = (gy * y).mean(axis=-1, keepdims=True)
+            gmean = gy.sum(axis=-1, keepdims=True) / n
+            gymean = (gy * y).sum(axis=-1, keepdims=True) / n
             x._accum_grad(inv * (gy - gmean - y * gymean))
         if gain.requires_grad:
             gain._accum_grad(_unbroadcast(g * y, gain.data.shape))

@@ -224,6 +224,14 @@ class TestCollaborativeForward:
                     harness.collaborative_forward(model, seq, bad)
                 break
 
+    def test_empty_active_set_raises(self, trained):
+        # no sensitive token and nothing uplinked: one example, no row to pool
+        _, _, bundle, model, _ = trained
+        seq = next(seq for seq, _ in bundle.test if not seq.sensitive_indices())
+        with pytest.raises(ValueError, match="no tokens to aggregate"):
+            harness.collaborative_forward(model, seq, scheduler.select_topk(
+                np.zeros(seq.length), seq.mask, budget=0))
+
     def test_rejects_out_of_range_index(self, trained):
         _, _, bundle, model, _ = trained
         seq, _ = bundle.test[0]
@@ -510,7 +518,7 @@ class TestCli:
             assert err.count("\n") == 1
 
     @pytest.mark.parametrize("edit", ["drop-config-field", "drop-array", "extra-array",
-                                      "cut-array"])
+                                      "cut-array", "unreadable-field", "zero-size"])
     def test_eval_on_mismatched_checkpoint_exits_1(self, tmp_path, capsys, edit):
         cfg = tmp_path / "tiny.cfg"
         cfg.write_text(TINY_CONFIG_TEXT)
@@ -527,6 +535,12 @@ class TestCli:
         elif edit == "extra-array":
             arrays["extra"] = np.zeros(3)
             message = "array 'extra' is not a parameter of the model"
+        elif edit == "unreadable-field":
+            config["d"] = "abc"
+            message = "config field 'd': cannot read 'abc' as int"
+        elif edit == "zero-size":
+            config["d"] = 0
+            message = "config field 'd' must be >= 1, got 0"
         else:
             arrays["w_o"] = arrays["w_o"][:-1]
             message = "array 'w_o' has shape (7, 4), the model needs (8, 4)"
@@ -536,14 +550,21 @@ class TestCli:
         err = capsys.readouterr().err
         assert err == f"error: {path}: {message}\n"
 
-    @pytest.mark.parametrize("case", ["config-not-utf8", "config-is-directory",
+    @pytest.mark.parametrize("case", ["config-not-utf8", "csv-not-utf8", "config-is-directory",
                                       "out-is-a-file"])
     def test_bad_path_exits_1_with_one_line(self, tmp_path, capsys, case):
         cfg, out = tmp_path / "tiny.cfg", tmp_path / "run"
         cfg.write_text(TINY_CONFIG_TEXT)
         if case == "config-not-utf8":
             cfg.write_bytes(TINY_CONFIG_TEXT.encode() + b"# \xff\n")
-            message = "can't decode byte 0xff"
+            message = f"{cfg}: not UTF-8: 'utf-8' codec can't decode byte 0xff"
+        elif case == "csv-not-utf8":
+            train, test = tmp_path / "train.csv", tmp_path / "test.csv"
+            train.write_bytes(b"text,label\nalpha beta,0\ngamma caf\xe9,1\n")
+            test.write_text("text,label\nalpha,0\n")
+            cfg.write_text(f"data.source = csv\ndata.csv_train = {train}\n"
+                           f"data.csv_test = {test}\nmodel.epochs = 1\n")
+            message = f"{train}: not UTF-8: 'utf-8' codec can't decode byte 0xe9"
         elif case == "config-is-directory":
             cfg = tmp_path / "configs"
             cfg.mkdir()
@@ -716,6 +737,29 @@ class TestCompareRuns:
                                    "b": np.zeros(2)})
         assert load_script("compare_runs").main(runs) == 1
         assert capsys.readouterr().out == "predictor.pwcp: 2 of 8 values differ: w 2/6\n"
+
+
+class TestServeDigest:
+    def test_repeats_and_sees_one_changed_value(self, trained, tmp_path):
+        spec, out, bundle = trained[:3]
+        serve_digest = load_script("serve_digest")
+        first = serve_digest.digest(spec, out)
+        assert serve_digest.digest(spec, out) == first
+        assert first[1] == len(bundle.test) * len(serve_digest.BUDGETS)
+        # budget 0 fails on every example without a sensitive token
+        assert first[2] == sum(1 for seq, _ in bundle.test if not seq.sensitive_indices())
+        path = os.path.join(str(tmp_path), spec.model.checkpoint)
+        config, arrays = checkpoint.load_container(os.path.join(out, spec.model.checkpoint),
+                                                   checkpoint.MAGIC_MODEL)
+        arrays["w_o"][0, 0] = np.nextafter(np.float32(arrays["w_o"][0, 0]), np.float32(1))
+        checkpoint.save_container(path, checkpoint.MAGIC_MODEL, config, arrays)
+        shutil.copy(os.path.join(out, spec.predictor.checkpoint), tmp_path)
+        assert serve_digest.digest(spec, str(tmp_path))[0] != first[0]
+
+    def test_missing_run_exits_1(self, tmp_path, capsys):
+        assert load_script("serve_digest").main(["--run", str(tmp_path / "none")]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
 
 
 class TestDeterminism:

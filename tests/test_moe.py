@@ -52,6 +52,17 @@ class TestPrivacyIsolation:
         assert out.tolist() == [[False, False, True, True],
                                 [True, True, False, False]]
 
+    @given(st.lists(st.integers(0, 1), min_size=0, max_size=10), st.integers(2, 6),
+           st.integers(1, 5))
+    @settings(max_examples=60, deadline=None)
+    def test_mask_matrix_equals_row_assignment(self, mask, num_experts, k_p):
+        k_p = min(k_p, num_experts - 1)
+        want = np.zeros((len(mask), num_experts), dtype=bool)
+        want[np.asarray(mask, dtype=int) == 1, k_p:] = True
+        want[np.asarray(mask, dtype=int) == 0, :k_p] = True
+        got = moe.privacy_isolation_mask(mask, num_experts, k_p)
+        assert got.dtype == bool and np.array_equal(got, want)
+
     def test_masked_probability_exactly_zero(self):
         g = Tensor(np.zeros((2, 4)))
         g_prime = moe.apply_privacy_isolation(g, [1, 0], k_p=2)
@@ -477,6 +488,35 @@ class TestCheckpoint:
             open(path, "wb").write(raw[:cut])
             with pytest.raises(CheckpointError, match="truncated"):
                 moe.load_model(path)
+
+
+    @pytest.mark.parametrize("field, value, message", [
+        ("d", "abc", "config field 'd': cannot read 'abc' as int"),
+        ("tau", "x1", "config field 'tau': cannot read 'x1' as float"),
+        ("d", "0", "config field 'd' must be >= 1, got 0"),
+        ("expert_hidden", "-2", "config field 'expert_hidden' must be >= 1, got -2"),
+        ("num_privacy_experts", "0", "config field 'num_privacy_experts' must be >= 1, got 0"),
+        ("num_experts", "1", "need 1 <= privacy experts < total experts, got 1/1"),
+    ])
+    def test_bad_config_value_rejected_before_building(self, tiny_model, tmp_path,
+                                                       monkeypatch, field, value, message):
+        from pwcmoe import checkpoint
+        path = str(tmp_path / "model.pwcm")
+        moe.save_model(tiny_model, path)
+        config, arrays = checkpoint.load_container(path, checkpoint.MAGIC_MODEL)
+        config[field] = value
+        checkpoint.save_container(path, checkpoint.MAGIC_MODEL, config, arrays)
+        built = []
+        monkeypatch.setattr(moe.MoEModel, "__init__", lambda *a: built.append(a))
+        with pytest.raises(checkpoint.CheckpointError) as info:
+            moe.load_model(path)
+        assert str(info.value) == f"{path}: {message}" and not built
+
+    def test_untrained_epoch_count_loads(self, tmp_path):
+        model = moe.MoEModel(tiny_config(epochs=0), RngStream(0, "m"))
+        path = str(tmp_path / "model.pwcm")
+        moe.save_model(model, path)
+        assert moe.load_model(path).config.epochs == 0
 
 
 class TestUsage:

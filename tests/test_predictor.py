@@ -240,6 +240,19 @@ class TestCheckpoint:
         emb = np.random.default_rng(3).normal(size=(4, 8))
         assert np.allclose(p.scores_np(emb), loaded.scores_np(emb), atol=1e-5)
 
+    @pytest.mark.parametrize("field", ["heads", "proj_dim", "layers"])
+    def test_zero_size_rejected_by_name(self, tmp_path, field):
+        from pwcmoe import checkpoint
+        p = predictor.ImportancePredictor(tiny_config(), RngStream(5, "p"))
+        path = str(tmp_path / "predictor.pwcp")
+        predictor.save_predictor(p, path)
+        config, arrays = checkpoint.load_container(path, checkpoint.MAGIC_PREDICTOR)
+        config[field] = "0"
+        checkpoint.save_container(path, checkpoint.MAGIC_PREDICTOR, config, arrays)
+        with pytest.raises(checkpoint.CheckpointError,
+                           match=f"^{path}: config field '{field}' must be >= 1, got 0$"):
+            predictor.load_predictor(path)
+
     def test_model_magic_rejected(self, tmp_path):
         from pwcmoe.checkpoint import CheckpointError
         cfg = moe.MoEConfig(vocab_size=12, num_classes=3, d=4, num_experts=3,

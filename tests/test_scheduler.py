@@ -54,6 +54,18 @@ class TestSelectTopk:
         with pytest.raises(ValueError):
             sched.select_topk([0.5] * 6, MASK, budget=-1)
 
+    @given(st.lists(st.tuples(st.sampled_from([0.0, -0.0, 1.0, -1.0, 0.5, 5e-324, -5e-324]),
+                              st.integers(0, 1)), min_size=0, max_size=12))
+    @settings(max_examples=200, deadline=None)
+    def test_topk_order_equals_sorting_by_score_then_position(self, pairs):
+        # few distinct values: many ties, and 0.0 against -0.0
+        scores = [s for s, _ in pairs]
+        mask = [m for _, m in pairs]
+        want = sorted((i for i, m in enumerate(mask) if m == 0), key=lambda i: (-scores[i], i))
+        got = sched.topk_order(np.asarray(scores), mask)
+        assert got == want
+        assert all(type(i) is int for i in got)
+
     @given(st.lists(st.floats(-10, 10), min_size=6, max_size=6),
            st.integers(0, 6))
     @settings(max_examples=100, deadline=None)

@@ -97,11 +97,24 @@ class TestSegmentSum:
         ([0, 1, 2], 2),      # more segments than declared
         ([-1, 0, 0], 1),     # negative segment id
         ([], 1),             # no rows
+        ([-1, -1], 1),       # one segment, negative ids only
+        ([0, 0, 1], 1),      # one segment declared, two given
     ])
     def test_rejects_empty_or_unordered_segments(self, seg, n):
         x = Tensor(rand((len(seg), 2), 16))
         with pytest.raises(ValueError, match="contiguous and non-empty"):
             T.segment_sum(x, seg, n)
+        with pytest.raises(ValueError, match="contiguous and non-empty"):
+            T.segment_softmax(Tensor(rand((len(seg), 1), 16)), seg, n)
+
+    @pytest.mark.parametrize("n", [1, 2, 5])
+    def test_one_segment_positions_match_the_general_formula(self, n):
+        seg = np.zeros(n, dtype=np.intp)
+        pos, counts = T._segment_positions(seg, 1)
+        counts_ref = np.bincount(seg, minlength=1)
+        pos_ref = np.arange(n) - (np.cumsum(counts_ref) - counts_ref)[seg]
+        for got, want in ((pos, pos_ref), (counts, counts_ref)):
+            assert got.dtype == want.dtype and np.array_equal(got, want)
 
 
 class TestSegmentSoftmax:
@@ -118,6 +131,15 @@ class TestSegmentSoftmax:
         x = Tensor(rand((8, 1), 21), requires_grad=True)
         w = rand((8, 1), 22)
         fd_check(lambda: T.tsum(T.segment_softmax(x, SEG, 3) * w), {"x": x})
+
+    def test_one_segment_equals_the_general_path(self):
+        # one segment shifts by x.max() in place of np.maximum.at
+        x = rand((9, 1), 23)
+        shift = np.full(1, -np.inf)
+        np.maximum.at(shift, np.zeros(9, dtype=np.intp), x.reshape(-1))
+        e = np.exp(x - shift[np.zeros(9, dtype=np.intp)].reshape(x.shape))
+        want = e * (1.0 / np.bincount(np.zeros(9, dtype=np.intp), weights=e.reshape(-1)))[0]
+        assert np.array_equal(T.segment_softmax(Tensor(x), np.zeros(9), 1).data, want)
 
 
 def attention_reference(q, k, v, seg, heads):
@@ -218,6 +240,21 @@ class TestExpertDispatch:
         fd_check(lambda: T.tsum(T.expert_dispatch(h, routed, assign, experts, rows) * w),
                  dispatch_params(h, routed, experts))
 
+    @pytest.mark.parametrize("rows", [[5, 1, 3, 1, -1], [6, 6, 5, 3, 1], [3, -4, 1, 5, 6, 1]])
+    def test_unsorted_or_duplicate_rows_equal_sorted_unique_rows(self, rows):
+        assign = np.array([2, 0, 2, 1, 0, 2, 1])
+        unique = np.unique(np.arange(7)[rows])
+        w = rand((7, 3), 26)
+        results = []
+        for r in (rows, unique):
+            h, routed, experts = dispatch_inputs()
+            out = T.expert_dispatch(h, routed, assign, experts, r)
+            T.backward(T.tsum(out * w))
+            results.append([out.data, h.grad, routed.grad]
+                           + [p.grad for e in experts for p in e.values()])
+        for got, want in zip(*results):
+            assert np.array_equal(got, want)
+
 
 class TestLayerNorm:
     def test_constant_input_maps_to_zero(self):
@@ -235,6 +272,23 @@ class TestLayerNorm:
                            epsilon=1e-10).data
         assert abs(out.mean()) < 1e-9
         assert abs(out.var() - 1.0) < 1e-6
+
+    @pytest.mark.parametrize("shape", [(1, 32), (20, 16), (640, 32)])
+    def test_bitwise_equals_the_mean_var_formula(self, shape):
+        x = Tensor(rand(shape, 10, -3.0, 5.0), requires_grad=True)
+        gain = Tensor(rand(shape[-1:], 11, 0.5, 1.5), requires_grad=True)
+        bias = Tensor(rand(shape[-1:], 12), requires_grad=True)
+        g = rand(shape, 13)
+        out = T.layer_norm(x, gain, bias)
+        T.backward(T.tsum(out * g))
+        mu = x.data.mean(axis=-1, keepdims=True)
+        inv = 1.0 / np.sqrt(x.data.var(axis=-1, keepdims=True) + 1e-5)
+        y = (x.data - mu) * inv
+        gy = g * gain.data
+        gx = inv * (gy - gy.mean(axis=-1, keepdims=True)
+                    - y * (gy * y).mean(axis=-1, keepdims=True))
+        assert np.array_equal(out.data, gain.data * y + bias.data)
+        assert np.array_equal(x.grad, gx)
 
     def test_gradient(self, fd_check):
         x = Tensor(rand((6,), 6), requires_grad=True)
@@ -380,3 +434,51 @@ class TestFiniteness:
             T.backward(loss)
             assert np.isfinite(loss.item())
             assert np.all(np.isfinite(x.grad))
+
+
+def graph_grads(loss) -> list:
+    """The .grad of every tensor of the graph under `loss` that has one."""
+    seen, stack, grads = set(), [loss], []
+    while stack:
+        node = stack.pop()
+        if id(node) in seen:
+            continue
+        seen.add(id(node))
+        if node.grad is not None:
+            grads.append(node.grad)
+        stack.extend(node._parents)
+    return grads
+
+
+class TestGradOwnership:
+    """A backward keeps the first gradient it is handed without a copy, so no
+    two tensors may be handed the same memory."""
+
+    def assert_no_shared_grads(self, loss):
+        T.backward(loss)
+        grads = graph_grads(loss)
+        assert len(grads) > 20
+        for i, a in enumerate(grads):
+            for b in grads[i + 1:]:
+                assert not np.shares_memory(a, b)
+
+    def test_moe_loss(self):
+        from pwcmoe import moe
+        from pwcmoe.corpus import TokenSequence
+        model = moe.MoEModel(moe.MoEConfig(vocab_size=12, num_classes=3, d=4, num_experts=3,
+                                           num_privacy_experts=1, expert_hidden=5),
+                             RngStream(0, "m"))
+        batch = [(TokenSequence(ids=ids, mask=mask, tokens=[str(i) for i in ids]), label)
+                 for ids, mask, label in (([1, 2, 3], [0, 1, 0], 0), ([4, 5], [0, 0], 2),
+                                          ([6, 7, 8, 9], [1, 0, 0, 1], 1))]
+        loss, _ = model.loss(batch, rng=RngStream(1, "g"))
+        self.assert_no_shared_grads(loss)
+
+    def test_predictor_packed_kl(self):
+        from pwcmoe import predictor
+        config = predictor.PredictorConfig(d=8, proj_dim=8, layers=2, heads=2)
+        pred = predictor.ImportancePredictor(config, RngStream(0, "p"))
+        rng = np.random.default_rng(3)
+        records = [predictor.ImportanceRecord(rng.normal(size=(n, 8)), np.full(n, 1.0 / n))
+                   for n in (3, 1, 5)]
+        self.assert_no_shared_grads(predictor.packed_kl(pred, records))
