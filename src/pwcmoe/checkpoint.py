@@ -8,6 +8,8 @@ Layout:
 
 from __future__ import annotations
 
+import math
+import os
 import struct
 from dataclasses import asdict, fields
 
@@ -50,12 +52,14 @@ def load_container(path: str, magic: bytes):
     """Read a container; rejects wrong magic, version mismatches and files
     that end early."""
     with open(path, "rb") as fh:
+        size = os.fstat(fh.fileno()).st_size
+
         def read(n: int, what: str) -> bytes:
-            buf = fh.read(n)
-            if len(buf) != n:
-                raise CheckpointError(
-                    f"{path}: truncated: {what} needs {n} bytes, found {len(buf)}")
-            return buf
+            # checked before reading: a declared size is never allocated unread
+            left = size - fh.tell()
+            if n > left:
+                raise CheckpointError(f"{path}: truncated: {what} needs {n} bytes, found {left}")
+            return fh.read(n)
 
         got = read(4, "magic")
         if got != magic:
@@ -79,8 +83,8 @@ def load_container(path: str, magic: bytes):
             name = read(name_len, f"array {i} name").decode("utf-8")
             (rank,) = struct.unpack("<B", read(1, f"array {name!r} rank"))
             dims = struct.unpack(f"<{rank}I", read(4 * rank, f"array {name!r} shape"))
-            count = int(np.prod(dims)) if dims else 1
-            buf = read(4 * count, f"array {name!r} values")
+            # a Python int product: no shape overflows it
+            buf = read(4 * math.prod(dims), f"array {name!r} of shape {dims}")
             arrays[name] = np.frombuffer(buf, dtype="<f4").reshape(dims).astype(np.float64)
         return config, arrays
 

@@ -68,12 +68,6 @@ class TokenSequence:
     def length(self) -> int:
         return len(self.ids)
 
-    def sensitive_indices(self) -> list:
-        return [i for i, m in enumerate(self.mask) if m == 1]
-
-    def nonsensitive_indices(self) -> list:
-        return [i for i, m in enumerate(self.mask) if m == 0]
-
 
 def split_text(text: str) -> list:
     """Lowercase and split on whitespace/punctuation; keeps digit runs whole."""

@@ -159,8 +159,7 @@ def rank_tokens(scorer: MaskScorer, key: np.ndarray) -> np.ndarray:
 def topk_ranks(scorer: MaskScorer, predictor: ImportancePredictor) -> np.ndarray:
     """Predictor top-k as a rank array: highest score first. The test split
     is scored in packed forwards of `EVAL_CHUNK` examples."""
-    emb = scorer.model.embedding.data
-    seqs = [emb[np.asarray(seq.ids)] for seq, _ in scorer.data]
+    seqs = np.split(scorer.model.embedding.data[scorer.ids], scorer.offsets[1:-1])
     with T.no_grad():
         scores = np.concatenate([predictor.predict_batch(seqs[s:s + EVAL_CHUNK]).data
                                  for s in range(0, len(seqs), EVAL_CHUNK)])
@@ -279,8 +278,9 @@ def run_budget_sweep(spec: ExperimentSpec, out_dir: str, emit_gnuplot=False):
     return rows
 
 
-def _max_nonsensitive(data) -> int:
-    return max(len(seq.nonsensitive_indices()) for seq, _ in data)
+def _nonsensitive_counts(scorer: MaskScorer) -> np.ndarray:
+    """Non-sensitive tokens per example of the scorer's split."""
+    return np.bincount(scorer.seg[~scorer.sensitive], minlength=scorer.labels.size)
 
 
 def _min_tokens_to_peak(ks, curve) -> tuple:
@@ -295,7 +295,8 @@ def run_distance_sweep(spec: ExperimentSpec, out_dir: str, emit_gnuplot=False):
     """Per distance: median token budget, then the minimum budget each
     strategy needs to reach its own peak accuracy within that budget."""
     bundle, model, predictor = _load_artifacts(spec, out_dir, predictor=True)
-    max_ns = _max_nonsensitive(bundle.test)
+    scorer = MaskScorer(model, bundle.test)
+    max_ns = int(_nonsensitive_counts(scorer).max())
     base = spec.channel.params(spec.model.d)
     m_uls = []
     for di, dist in enumerate(spec.sweep.distances):
@@ -303,7 +304,6 @@ def run_distance_sweep(spec: ExperimentSpec, out_dir: str, emit_gnuplot=False):
         rng = RngStream(spec.seed, f"sweep-distance/channel/d{di}")
         m_uls.append(int(np.median(ch.budget_samples(params, rng, spec.sweep.channel_draws))))
     k_maxes = [min(m_ul, max_ns) for m_ul in m_uls]
-    scorer = MaskScorer(model, bundle.test)
     # one top-k curve up to the largest budget; each distance reads its prefix
     topk = topk_curve(scorer, predictor, range(max(k_maxes, default=0) + 1))
     rows = []
@@ -325,8 +325,9 @@ def run_distance_sweep(spec: ExperimentSpec, out_dir: str, emit_gnuplot=False):
 def run_target_accuracy(spec: ExperimentSpec, out_dir: str, emit_gnuplot=False):
     """Smallest per-example budget reaching each target accuracy."""
     bundle, model, predictor = _load_artifacts(spec, out_dir, predictor=True)
-    ks = list(range(0, _max_nonsensitive(bundle.test) + 1))
     scorer = MaskScorer(model, bundle.test)
+    n_ns = _nonsensitive_counts(scorer)
+    ks = list(range(0, int(n_ns.max()) + 1))
     topk = topk_curve(scorer, predictor, ks)
     rmeans, _ = random_curve(scorer, ks, spec.sweep.trials, spec.seed,
                              "target-accuracy/random")
@@ -338,9 +339,7 @@ def run_target_accuracy(spec: ExperimentSpec, out_dir: str, emit_gnuplot=False):
             if k_req is None:
                 rows.append((float(target), strategy, -1, 0, -1.0, -1.0))
             else:
-                mean_used = float(np.mean(
-                    [min(k_req, len(seq.nonsensitive_indices()))
-                     for seq, _ in bundle.test]))
+                mean_used = float(np.mean(np.minimum(k_req, n_ns)))
                 rows.append((float(target), strategy, k_req, reachable,
                              mean_used, curve[k_req]))
     header = ["target", "strategy", "tokens_required", "reachable",

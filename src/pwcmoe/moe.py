@@ -11,6 +11,7 @@ straight-through gradient and a group-wise load-balancing penalty.
 from __future__ import annotations
 
 import functools
+import itertools
 import math
 from dataclasses import dataclass, field
 from typing import Callable, Optional
@@ -172,10 +173,11 @@ class MoEModel(T.Module):
     # -- forward ----------------------------------------------------------
 
     def route_hard(self, h: Tensor, routed: Tensor, assign: np.ndarray,
-                   rows=None) -> Tensor:
+                   active=None) -> Tensor:
         """Sparse dispatch: each expert runs only on its assigned tokens (only
-        on `rows`, when given), scaled by the straight-through gate value."""
-        return T.expert_dispatch(h, routed, assign, self.experts, rows)
+        on those marked in the boolean mask `active`, when given), scaled by
+        the straight-through gate value."""
+        return T.expert_dispatch(h, routed, assign, self.experts, active)
 
     def route_soft(self, h: Tensor, z: Tensor) -> Tensor:
         """Dense relaxation: every expert processes every token, outputs mixed
@@ -185,19 +187,19 @@ class MoEModel(T.Module):
         return functools.reduce(T.add, pieces)
 
     def forward_batch(self, batch, rng: Optional[RngStream] = None,
-                      mode: str = "eval", actives=None) -> ForwardResult:
-        """The one MoE forward. Concatenates a list of (seq, label) pairs
-        into one token matrix, so that expert dispatch and pooling run as a
+                      mode: str = "eval", active=None) -> ForwardResult:
+        """The one MoE forward. Packs a list of (seq, label) pairs into one
+        token matrix (`pack`), so that expert dispatch and pooling run as a
         few large numpy ops.
 
         Modes: 'train' (Gumbel noise + hard straight-through), 'eval'
         (noise-free, hard argmax), 'soft' (noise-free dense soft routing;
-        fully differentiable). `actives[e]` lists the tokens of example e
-        that are processed and pooled (default: all of them); an example
-        with none raises ValueError.
+        fully differentiable). `active` is a boolean mask over the packed
+        tokens: only the marked ones are processed and pooled (default: all
+        of them); an example with none raises ValueError.
         """
         c = self.config
-        ids, mask, seg, active = _concat_batch(batch, actives)
+        ids, mask, seg, _ = pack(batch)
         n_tok = ids.shape[0]
         h = T.gather_rows(self.embedding, ids)
         g = gate_logits(h, self.w_g, self.b_g)
@@ -214,11 +216,12 @@ class MoEModel(T.Module):
             h_prime = self.route_soft(h, z)
         else:
             routed, assign = hard_select(z, g_prime, gamma)
-            h_prime = self.route_hard(h, routed, assign, rows=active)
+            h_prime = self.route_hard(h, routed, assign, active)
 
+        pos = np.arange(n_tok) if active is None else np.flatnonzero(active)
         # training pools every token: skip the gather and its scatter-add backward
-        rows = h_prime if active.size == n_tok else T.gather_rows(h_prime, active)
-        alpha, logits = self.classify(rows, seg[active], len(batch))
+        rows = h_prime if pos.size == n_tok else T.gather_rows(h_prime, pos)
+        alpha, logits = self.classify(rows, seg[pos], len(batch))
         return ForwardResult(logits=logits, alpha=alpha, z=z, routed=routed,
                              assign=assign, h=h, h_prime=h_prime, mask=mask, seg=seg)
 
@@ -231,10 +234,13 @@ class MoEModel(T.Module):
 
     def forward(self, seq: TokenSequence, rng: Optional[RngStream] = None,
                 active=None, mode: str = "eval") -> ForwardResult:
-        """`forward_batch` on one sequence, pooled over `active` (default:
-        every token)."""
-        return self.forward_batch([(seq, None)], rng=rng, mode=mode,
-                                  actives=None if active is None else [active])
+        """`forward_batch` on one sequence, pooled over the tokens that
+        `active` indexes as numpy indexing would (default: every token)."""
+        if active is not None:
+            flags = np.zeros(seq.length, dtype=bool)
+            flags[active] = True
+            active = flags
+        return self.forward_batch([(seq, None)], rng=rng, mode=mode, active=active)
 
     def loss(self, batch, rng: Optional[RngStream] = None, mode: str = "train"):
         """(loss, ForwardResult) over a list of (seq, label) pairs: mean
@@ -246,28 +252,21 @@ class MoEModel(T.Module):
         return task + lb * self.config.lambda_lb, res
 
 
-def _concat_batch(batch, actives=None):
-    """Token ids, privacy mask and example index of every token of the batch,
-    plus the sorted positions of the active tokens (`actives[e]` indexes
-    example e's own tokens, as numpy indexing would)."""
-    seqs = [seq for seq, _ in batch]
-    lengths = np.array([seq.length for seq in seqs])
-    ids = np.concatenate([seq.ids for seq in seqs])
-    mask = np.concatenate([seq.mask for seq in seqs])
-    seg = np.arange(len(seqs)).repeat(lengths)
-    if actives is None:
-        return ids, mask, seg, np.arange(ids.size)
-    flags = np.zeros(ids.size, dtype=bool)
-    starts = lengths.cumsum() - lengths
-    for start, n, act in zip(starts.tolist(), lengths.tolist(), actives, strict=True):
-        flags[start:start + n][act] = True
-    return ids, mask, seg, flags.nonzero()[0]
+def pack(pairs) -> tuple:
+    """The packed layout of a list of (seq, label) pairs: token ids, privacy
+    mask and example index (`seg`) of every token, example after example,
+    and the `offsets` by which example e owns tokens `offsets[e]:offsets[e + 1]`."""
+    lengths = [seq.length for seq, _ in pairs]
+    ids = np.concatenate([seq.ids for seq, _ in pairs])
+    mask = np.concatenate([seq.mask for seq, _ in pairs])
+    seg = np.arange(len(pairs)).repeat(lengths)
+    return ids, mask, seg, np.array([0, *itertools.accumulate(lengths)])
 
 
-def batch_forward(model: MoEModel, batch, mode: str = "eval", actives=None):
+def batch_forward(model: MoEModel, batch, mode: str = "eval"):
     """`MoEModel.forward_batch` as (logits (B, C), z (N_tok, K), mask array,
     seg ids)."""
-    res = model.forward_batch(batch, mode=mode, actives=actives)
+    res = model.forward_batch(batch, mode=mode)
     return res.logits, res.z, res.mask, res.seg
 
 
@@ -299,12 +298,11 @@ class TrainTrace:
 
 
 def active_set(seq: TokenSequence, decision) -> np.ndarray:
-    """Tokens processed at inference: all sensitive plus the selected
-    non-sensitive ones."""
-    if decision is None:
-        return np.arange(seq.length)
-    idx = sorted(set(seq.sensitive_indices()) | set(decision.selected))
-    return np.asarray(idx, dtype=np.intp)
+    """Boolean mask of the tokens processed at inference: all sensitive plus
+    the selected non-sensitive ones."""
+    active = np.array(seq.mask, dtype=bool)
+    active[decision.selected] = True
+    return active
 
 
 EVAL_CHUNK = 256  # examples per eval forward; bounds the forward's working memory
@@ -316,24 +314,19 @@ class MaskScorer:
 
     In eval mode a token's gate and expert output depend on that token only,
     so an offload decision changes only which expert-output rows are pooled.
-    A choice is a boolean mask over the tokens of `data` packed example after
-    example; example e owns tokens `offsets[e]:offsets[e + 1]`.
+    A choice is a boolean mask over the tokens of `data` in `pack`'s layout,
+    whose arrays the scorer keeps.
     """
 
     def __init__(self, model: MoEModel, data):
         self.model = model
-        self.data = data
-        rows, mask = [], []
+        rows = []
         with T.no_grad():
             for s in range(0, len(data), EVAL_CHUNK):
-                res = model.forward_batch(data[s:s + EVAL_CHUNK], mode="eval")
-                rows.append(res.h_prime.data)
-                mask.append(res.mask)
-        lengths = [seq.length for seq, _ in data]
-        self.offsets = np.cumsum([0] + lengths)
-        self.seg = np.repeat(np.arange(len(data)), lengths)
+                rows.append(model.forward_batch(data[s:s + EVAL_CHUNK], mode="eval").h_prime.data)
+        self.ids, mask, self.seg, self.offsets = pack(data)
         self.h_prime = np.concatenate(rows)
-        self.sensitive = np.concatenate(mask) == 1
+        self.sensitive = mask == 1
         self.labels = np.asarray([label for _, label in data])
 
     def accuracy(self, active: np.ndarray) -> float:
@@ -347,7 +340,7 @@ class MaskScorer:
         with T.no_grad():
             _, logits = self.model.classify(Tensor(self.h_prime[pos]), local, present.size)
         correct = np.sum(logits.data.argmax(axis=1) == self.labels[present])
-        return int(correct) / len(self.data)
+        return int(correct) / self.labels.size
 
 
 def evaluate(model: MoEModel, data) -> float:

@@ -19,6 +19,7 @@ import numpy as np
 
 from . import tensor as T
 from .checkpoint import MAGIC_PREDICTOR, load_params, save_params
+from .moe import pack
 from .rng import RngStream
 from .tensor import Tensor
 
@@ -142,11 +143,12 @@ def collect_dataset(model, data) -> list:
     trained classifier, `model.config.batch_size` sequences per forward."""
     records = []
     step = model.config.batch_size
+    _, _, _, offsets = pack(data)
     with T.no_grad():
         for start in range(0, len(data), step):
             chunk = data[start:start + step]
             res = model.forward_batch(chunk, mode="eval")
-            cuts = np.cumsum([seq.length for seq, _ in chunk])[:-1]
+            cuts = offsets[start + 1:start + len(chunk)] - offsets[start]
             for emb, alpha in zip(np.split(res.h.data, cuts),
                                   np.split(res.alpha.data.reshape(-1), cuts)):
                 records.append(ImportanceRecord(embeddings=emb, target=alpha))
@@ -216,11 +218,3 @@ def save_predictor(predictor: ImportancePredictor, path: str):
 
 def load_predictor(path: str) -> ImportancePredictor:
     return load_params(path, MAGIC_PREDICTOR, ImportancePredictor, PredictorConfig)
-
-
-def mean_kl(predictor: ImportancePredictor, records: list) -> float:
-    step = predictor.config.batch_size
-    with T.no_grad():
-        total = sum(packed_kl(predictor, records[i:i + step]).item()
-                    for i in range(0, len(records), step))
-    return total / len(records)

@@ -355,16 +355,11 @@ def segment_softmax(a: Tensor, seg, n_segments: int) -> Tensor:
     e * (1 / segment sum of e), the sums by bincount. Segments are
     contiguous, in order and non-empty."""
     seg = np.asarray(seg, dtype=np.intp)
-    _segment_positions(seg, n_segments)
+    _, counts = _segment_positions(seg, n_segments)
     x = a.data
     # per-segment max as a gradient-free shift
-    if n_segments == 1:
-        shift = x.max()
-    else:
-        shift = np.full(n_segments, -np.inf)
-        np.maximum.at(shift, seg, x.reshape(-1))
-        shift = shift[seg].reshape(x.shape)
-    e = np.exp(x - shift)
+    shift = np.maximum.reduceat(x.reshape(-1), counts.cumsum() - counts)
+    e = np.exp(x - shift[seg].reshape(x.shape))
     sums = np.bincount(seg, weights=e.reshape(-1), minlength=n_segments)
     r = (1.0 / sums)[seg].reshape(x.shape)
 
@@ -423,18 +418,16 @@ def segment_attention(q: Tensor, k: Tensor, v: Tensor, seg, n_segments: int,
     return _make(unpad(w @ V), (q, k, v), backward)
 
 
-def expert_dispatch(h: Tensor, routed: Tensor, assign, experts, rows=None) -> Tensor:
+def expert_dispatch(h: Tensor, routed: Tensor, assign, experts, active=None) -> Tensor:
     """Top-1 expert MLPs over a token matrix (L, d) as one node. Expert j
     runs relu(x w1 + b1) w2 + b2 on the rows i of `h` with assign[i] == j
-    (only rows listed in `rows`, when given), and each output row is scaled
-    by its gate routed[i, j]; rows no expert ran on stay zero. Experts own
-    disjoint rows, so the gradients into `h` and `routed` are written rather
-    than accumulated, and an expert with no row gets no gradient at all.
-    `experts[j]` is a dict of the tensors w1, b1, w2, b2."""
+    (only rows marked in the boolean mask `active`, when given), and each
+    output row is scaled by its gate routed[i, j]; rows no expert ran on stay
+    zero. Experts own disjoint rows, so the gradients into `h` and `routed`
+    are written rather than accumulated, and an expert with no row gets no
+    gradient at all. `experts[j]` is a dict of the tensors w1, b1, w2, b2."""
     assign = np.asarray(assign, dtype=np.intp)
-    keep = np.zeros(assign.size, dtype=bool)
-    keep[slice(None) if rows is None else np.asarray(rows, dtype=np.intp)] = True
-    pos = keep.nonzero()[0]
+    pos = np.arange(assign.size) if active is None else np.flatnonzero(active)
     # rows grouped by expert, one block each; a stable sort keeps each
     # expert's rows ascending
     order = pos[np.argsort(assign[pos], kind="stable")]

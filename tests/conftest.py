@@ -6,6 +6,11 @@ from pwcmoe import tensor as T
 from pwcmoe.rng import RngStream
 
 
+def positions(seq, sensitive: bool) -> list:
+    """The positions of `seq`'s sensitive (or non-sensitive) tokens."""
+    return [i for i, m in enumerate(seq.mask) if m == int(sensitive)]
+
+
 def finite_difference_check(loss_fn, params, step=1e-5, tol=1e-4):
     """Compare analytic gradients of loss_fn() against central differences.
 
@@ -45,24 +50,23 @@ def fd_check():
 
 
 def reference_accuracy(model, data, decide):
-    """Accuracy under one offload decision per example, `decide(i, seq)`
-    (None pools every token), scored one decision at a time: each example
-    pools `moe.active_set(seq, decision)` in a batched forward over those
-    tokens alone. Examples with nothing to pool count as wrong."""
+    """Accuracy under one offload decision per example, `decide(i, seq)`,
+    scored one decision at a time: each example pools
+    `moe.active_set(seq, decision)` in a batched forward over those tokens
+    alone. Examples with nothing to pool count as wrong."""
     pending, actives = [], []
     for i, (seq, label) in enumerate(data):
         act = moe.active_set(seq, decide(i, seq))
-        if act.size:
+        if act.any():
             pending.append((seq, label))
             actives.append(act)
     correct = 0
     with T.no_grad():
         for s in range(0, len(pending), 256):
             batch = pending[s:s + 256]
-            logits, _, _, _ = moe.batch_forward(model, batch, mode="eval",
-                                                actives=actives[s:s + 256])
+            res = model.forward_batch(batch, active=np.concatenate(actives[s:s + 256]))
             labels = np.asarray([label for _, label in batch])
-            correct += int(np.sum(logits.data.argmax(axis=1) == labels))
+            correct += int(np.sum(res.logits.data.argmax(axis=1) == labels))
     return correct / len(data)
 
 

@@ -17,7 +17,7 @@ from pwcmoe.corpus import TokenSequence
 from pwcmoe.rng import RngStream
 from pwcmoe.tensor import Tensor
 
-from conftest import (finite_difference_check, reference_random_means,
+from conftest import (finite_difference_check, positions, reference_random_means,
                       reference_topk_accuracy)
 
 SEED = 0
@@ -263,10 +263,9 @@ def test_criterion_08_oracle_gap(trained, importance, bundle):
     for i, (seq, label) in enumerate(bundle.test):
         if checked >= 50:
             break
-        ns = seq.nonsensitive_indices()
-        if len(ns) > 10:
+        if len(positions(seq, False)) > 10:
             continue
-        sens = seq.sensitive_indices()
+        sens = positions(seq, True)
 
         def conf(subset):
             active = sorted(set(sens) | set(subset))

@@ -4,6 +4,7 @@ import importlib.util
 import itertools
 import os
 import shutil
+import struct
 import types
 
 import numpy as np
@@ -17,7 +18,7 @@ from pwcmoe.predictor import ImportancePredictor
 from pwcmoe.rng import RngStream
 from pwcmoe.tensor import Tensor
 
-from conftest import reference_random_means, reference_topk_accuracy
+from conftest import positions, reference_random_means, reference_topk_accuracy
 
 
 ROOT = os.path.join(os.path.dirname(__file__), "..")
@@ -202,7 +203,7 @@ class TestCollaborativeForward:
         _, _, bundle, model, _ = trained
         checked = 0
         for seq, _ in bundle.test[:20]:
-            ns = seq.nonsensitive_indices()
+            ns = positions(seq, False)
             if not ns:
                 continue
             decision = scheduler.select_topk(np.arange(seq.length), seq.mask,
@@ -217,7 +218,7 @@ class TestCollaborativeForward:
     def test_rejects_sensitive_selection(self, trained):
         _, _, bundle, model, _ = trained
         for seq, _ in bundle.test:
-            sens = seq.sensitive_indices()
+            sens = positions(seq, True)
             if sens:
                 bad = scheduler.OffloadDecision(selected=[sens[0]], budget=1)
                 with pytest.raises(ValueError, match="sensitive"):
@@ -227,7 +228,7 @@ class TestCollaborativeForward:
     def test_empty_active_set_raises(self, trained):
         # no sensitive token and nothing uplinked: one example, no row to pool
         _, _, bundle, model, _ = trained
-        seq = next(seq for seq, _ in bundle.test if not seq.sensitive_indices())
+        seq = next(seq for seq, _ in bundle.test if 1 not in seq.mask)
         with pytest.raises(ValueError, match="no tokens to aggregate"):
             harness.collaborative_forward(model, seq, scheduler.select_topk(
                 np.zeros(seq.length), seq.mask, budget=0))
@@ -235,9 +236,11 @@ class TestCollaborativeForward:
     def test_rejects_out_of_range_index(self, trained):
         _, _, bundle, model, _ = trained
         seq, _ = bundle.test[0]
-        bad = scheduler.OffloadDecision(selected=[seq.length + 3], budget=1)
-        with pytest.raises(IndexError):
-            harness.collaborative_forward(model, seq, bad)
+        # -1 would wrap to the last token under numpy indexing
+        for i in (seq.length + 3, -1):
+            bad = scheduler.OffloadDecision(selected=[i], budget=1)
+            with pytest.raises(IndexError, match=f"decision index {i} out of range"):
+                harness.collaborative_forward(model, seq, bad)
 
 
 class TestRuns:
@@ -331,7 +334,7 @@ class TestTopkCurve:
         _, _, bundle, model, predictor = trained
         spec = multi_distance_spec()
         rows = harness.run_distance_sweep(spec, run_dir(trained, tmp_path))
-        max_ns = max(len(seq.nonsensitive_indices()) for seq, _ in bundle.test)
+        max_ns = max(len(positions(seq, False)) for seq, _ in bundle.test)
         expected, k_maxes = [], []
         for di, dist in enumerate(spec.sweep.distances):
             params = dataclasses.replace(spec.channel.params(spec.model.d), d_c_m=dist)
@@ -364,10 +367,7 @@ class TiedScores:
 
 
 @pytest.fixture(scope="module")
-def tied():
-    model = moe.MoEModel(moe.MoEConfig(vocab_size=6, num_classes=2, d=4, num_experts=3,
-                                       num_privacy_experts=1, expert_hidden=5),
-                         RngStream(0, "tied"))
+def tied_data():
     rng = np.random.default_rng(2)
     data = []
     for _ in range(30):
@@ -376,56 +376,57 @@ def tied():
                             mask=[int(m) for m in rng.random(L) < 0.3],
                             tokens=["t"] * L)
         data.append((seq, 0))
-    return moe.MaskScorer(model, data)
+    return data
 
 
-def packed(scorer, actives):
-    out = np.zeros(scorer.sensitive.size, dtype=bool)
-    for act, off in zip(actives, scorer.offsets):
-        out[off + act] = True
-    return out
+@pytest.fixture(scope="module")
+def tied(tied_data):
+    model = moe.MoEModel(moe.MoEConfig(vocab_size=6, num_classes=2, d=4, num_experts=3,
+                                       num_privacy_experts=1, expert_hidden=5),
+                         RngStream(0, "tied"))
+    return moe.MaskScorer(model, tied_data)
 
 
 def rank_orders(scorer, rank):
     """Per example, its non-sensitive positions in rank order."""
     orders = []
-    for (seq, _), off in zip(scorer.data, scorer.offsets):
-        r = rank[off:off + seq.length]
-        assert sorted(r) == list(range(seq.length))
-        orders.append(np.argsort(r)[:seq.mask.count(0)].tolist())
+    for lo, hi in zip(scorer.offsets[:-1], scorer.offsets[1:]):
+        r = rank[lo:hi]
+        assert sorted(r) == list(range(hi - lo))
+        orders.append(np.argsort(r)[:np.count_nonzero(~scorer.sensitive[lo:hi])].tolist())
     return orders
 
 
-def tied_scores(scorer):
+def tied_scores(scorer, data):
     emb = scorer.model.embedding.data
-    return [TiedScores().scores_np(emb[seq.ids]) for seq, _ in scorer.data]
+    return [TiedScores().scores_np(emb[seq.ids]) for seq, _ in data]
 
 
 class TestMasks:
-    def test_topk_mask_matches_select_topk_under_ties(self, tied):
-        scores = tied_scores(tied)
+    def test_topk_mask_matches_select_topk_under_ties(self, tied, tied_data):
+        scores = tied_scores(tied, tied_data)
         assert any(len(set(s[np.asarray(seq.mask) == 0])) < seq.mask.count(0)
-                   for s, (seq, _) in zip(scores, tied.data))
+                   for s, (seq, _) in zip(scores, tied_data))
         rank = harness.rank_tokens(tied, -np.concatenate(scores))
-        for k in range(max(seq.mask.count(0) for seq, _ in tied.data) + 3):
+        for k in range(max(seq.mask.count(0) for seq, _ in tied_data) + 3):
             decisions = [scheduler.select_topk(s, seq.mask, k)
-                         for s, (seq, _) in zip(scores, tied.data)]
-            assert np.array_equal(tied.sensitive | (rank < k), packed(tied, [
-                moe.active_set(seq, d) for (seq, _), d in zip(tied.data, decisions)]))
+                         for s, (seq, _) in zip(scores, tied_data)]
+            assert np.array_equal(tied.sensitive | (rank < k), np.concatenate([
+                moe.active_set(seq, d) for (seq, _), d in zip(tied_data, decisions)]))
 
     @pytest.mark.parametrize("k", [0, 1, 4, 20])
-    def test_random_mask_matches_select_random(self, tied, k):
+    def test_random_mask_matches_select_random(self, tied, tied_data, k):
         ranks = list(harness.random_ranks(tied, 2, 3, "r"))
         assert len(ranks) == 2
         for t, rank in enumerate(ranks):
             rng = RngStream(3, f"r/trial{t}")
             actives = [moe.active_set(seq, scheduler.select_random(seq.mask, k, rng))
-                       for seq, _ in tied.data]
-            assert np.array_equal(tied.sensitive | (rank < k), packed(tied, actives))
+                       for seq, _ in tied_data]
+            assert np.array_equal(tied.sensitive | (rank < k), np.concatenate(actives))
 
-    def test_packed_topk_ranks_equal_topk_order_under_ties(self, tied):
+    def test_packed_topk_ranks_equal_topk_order_under_ties(self, tied, tied_data):
         expected = [scheduler.topk_order(s, seq.mask)
-                    for s, (seq, _) in zip(tied_scores(tied), tied.data)]
+                    for s, (seq, _) in zip(tied_scores(tied, tied_data), tied_data)]
         assert rank_orders(tied, harness.topk_ranks(tied, TiedScores())) == expected
 
     def test_packed_topk_ranks_equal_topk_order_of_trained_predictor(self, trained):
@@ -518,7 +519,8 @@ class TestCli:
             assert err.count("\n") == 1
 
     @pytest.mark.parametrize("edit", ["drop-config-field", "drop-array", "extra-array",
-                                      "cut-array", "unreadable-field", "zero-size"])
+                                      "cut-array", "unreadable-field", "zero-size",
+                                      "oversized-array"])
     def test_eval_on_mismatched_checkpoint_exits_1(self, tmp_path, capsys, edit):
         cfg = tmp_path / "tiny.cfg"
         cfg.write_text(TINY_CONFIG_TEXT)
@@ -541,10 +543,19 @@ class TestCli:
         elif edit == "zero-size":
             config["d"] = 0
             message = "config field 'd' must be >= 1, got 0"
+        elif edit == "oversized-array":
+            # last in the file, so its (8, 4) shape is the 8 bytes before 128 value bytes
+            arrays["w_o"] = arrays.pop("w_o")
+            message = ("truncated: array 'w_o' of shape (2147483648, 8) needs 68719476736 "
+                       "bytes, found 128")
         else:
             arrays["w_o"] = arrays["w_o"][:-1]
             message = "array 'w_o' has shape (7, 4), the model needs (8, 4)"
         checkpoint.save_container(path, checkpoint.MAGIC_MODEL, config, arrays)
+        if edit == "oversized-array":
+            raw = bytearray(open(path, "rb").read())
+            raw[-136:-128] = struct.pack("<2I", 2**31, 8)
+            open(path, "wb").write(bytes(raw))
         capsys.readouterr()
         assert cli.run(["eval", "--config", str(cfg), "--out", out]) == 1
         err = capsys.readouterr().err
@@ -747,7 +758,7 @@ class TestServeDigest:
         assert serve_digest.digest(spec, out) == first
         assert first[1] == len(bundle.test) * len(serve_digest.BUDGETS)
         # budget 0 fails on every example without a sensitive token
-        assert first[2] == sum(1 for seq, _ in bundle.test if not seq.sensitive_indices())
+        assert first[2] == sum(1 for seq, _ in bundle.test if 1 not in seq.mask)
         path = os.path.join(str(tmp_path), spec.model.checkpoint)
         config, arrays = checkpoint.load_container(os.path.join(out, spec.model.checkpoint),
                                                    checkpoint.MAGIC_MODEL)

@@ -1,3 +1,5 @@
+import struct
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -209,6 +211,21 @@ class TestForward:
         assert np.all(res.h_prime.data[[0, 2]] == 0.0)
         assert np.any(res.h_prime.data[[1, 3]] != 0.0)
 
+    @pytest.mark.parametrize("rows", [[5, 1, 3, 1, -1], [6, 6, 5, 3, 1], [3, -4, 1, 5, 6, 1]])
+    def test_active_positions_follow_numpy_indexing(self, tiny_model, rows):
+        # unsorted and repeated positions collapse; -1 is the last token
+        seq = make_seq([2, 3, 4, 5, 6, 7, 8], [0, 1, 0, 0, 1, 0, 0])
+        got = tiny_model.forward(seq, active=rows)
+        want = tiny_model.forward(seq, active=np.unique(np.arange(7)[rows]))
+        assert np.array_equal(got.h_prime.data, want.h_prime.data)
+        assert np.array_equal(got.logits.data, want.logits.data)
+
+    def test_out_of_range_active_raises(self, tiny_model):
+        seq = make_seq([4, 5, 6], [0, 0, 0])
+        for active in ([3], [0, -4]):
+            with pytest.raises(IndexError):
+                tiny_model.forward(seq, active=active)
+
     def test_probs_normalized(self, tiny_model):
         res = tiny_model.forward(make_seq([2, 3], [0, 1]), mode="eval")
         assert res.probs().sum() == pytest.approx(1.0)
@@ -233,12 +250,11 @@ class TestForward:
         assert np.all(np.isfinite(tiny_model.w_g.grad))
 
 
-def composed_route_hard(model, h, routed, assign, rows=None):
+def composed_route_hard(model, h, routed, assign, active=None):
     """Expert dispatch built from single autodiff ops, one gather, MLP,
     gate and scatter per expert: the reference for `T.expert_dispatch`."""
     L = h.shape[0]
-    keep = np.zeros(L, dtype=bool)
-    keep[np.arange(L) if rows is None else np.asarray(rows, dtype=np.intp)] = True
+    keep = np.ones(L, dtype=bool) if active is None else active
     h_prime = None
     for j in np.unique(assign[keep]):
         idx = np.flatnonzero((assign == j) & keep)
@@ -300,25 +316,17 @@ class TestExpertDispatch:
         assert graph_nodes(ref) > 20
 
 
-class TestConcatBatch:
-    def test_actives_index_each_example(self):
+class TestPack:
+    def test_lays_out_each_example(self):
         batch = [(make_seq([2, 3, 4], [0, 1, 0]), 0), (make_seq([5, 6], [1, 0]), 1),
                  (make_seq([7, 8, 9, 10], [0, 0, 0, 1]), 0)]
-        ids, mask, seg, active = moe._concat_batch(batch)
+        ids, mask, seg, offsets = moe.pack(batch)
         assert ids.tolist() == [2, 3, 4, 5, 6, 7, 8, 9, 10]
         assert mask.tolist() == [0, 1, 0, 1, 0, 0, 0, 0, 1]
         assert seg.tolist() == [0, 0, 0, 1, 1, 2, 2, 2, 2]
-        assert active.tolist() == list(range(9))
-        # unsorted and repeated indices collapse; -1 is an example's last token
-        _, _, _, active = moe._concat_batch(batch, [[2, 0, 2], [], np.array([-1, 1])])
-        assert active.tolist() == [0, 2, 6, 8]
-
-    def test_out_of_range_active_raises(self):
-        batch = [(make_seq([2, 3], [0, 0]), 0), (make_seq([4, 5, 6], [0, 0, 0]), 0)]
-        with pytest.raises(IndexError):
-            moe._concat_batch(batch, [[2], [0]])
-        with pytest.raises(IndexError):
-            moe._concat_batch(batch, [[0], [-4]])
+        assert offsets.tolist() == [0, 3, 5, 9]
+        for e, (seq, _) in enumerate(batch):
+            assert ids[offsets[e]:offsets[e + 1]].tolist() == seq.ids
 
 
 class TestBatchForward:
@@ -338,9 +346,8 @@ class TestBatchForward:
     def test_matches_per_example_with_active_sets(self, tiny_model):
         batch = [(make_seq([2, 3, 4], [0, 0, 0]), 0),
                  (make_seq([5, 6], [1, 0]), 1)]
-        actives = [np.array([0, 2]), np.array([0, 1])]
-        logits, _, _, _ = moe.batch_forward(tiny_model, batch, mode="eval",
-                                            actives=actives)
+        actives = [np.array([True, False, True]), np.array([True, True])]
+        logits = tiny_model.forward_batch(batch, active=np.concatenate(actives)).logits
         for e, (seq, _) in enumerate(batch):
             single = tiny_model.forward(seq, active=actives[e], mode="eval")
             assert np.allclose(logits.data[e], single.logits.data.reshape(-1),
@@ -356,9 +363,8 @@ class TestBatchForward:
         score = (res.h_prime.data[0] @ tiny_model.agg_w.data).item()
         tiny_model.agg_w.data = tiny_model.agg_w.data * (-1000.0 / score)
         batch = [(seq_a, 0), (seq_b, 0)]
-        actives = [np.array([0]), np.array([0, 1, 2])]
-        logits, _, _, _ = moe.batch_forward(tiny_model, batch, mode="eval",
-                                            actives=actives)
+        actives = [np.array([True, False]), np.array([True, True, True])]
+        logits = tiny_model.forward_batch(batch, active=np.concatenate(actives)).logits
         assert np.all(np.isfinite(logits.data))
         singles = [tiny_model.forward(seq, active=act, mode="eval")
                    for (seq, _), act in zip(batch, actives)]
@@ -372,8 +378,7 @@ class TestBatchForward:
         data = [(seq_a, labels[0]), (seq_b, labels[1])]
         per_example = np.mean([int(s.logits.data.argmax()) == lb
                                for s, lb in zip(singles, labels)])
-        active = np.array([True, False, True, True, True])
-        assert moe.MaskScorer(tiny_model, data).accuracy(active) == per_example
+        assert moe.MaskScorer(tiny_model, data).accuracy(np.concatenate(actives)) == per_example
 
 
 class TestEvaluate:
@@ -402,23 +407,22 @@ class TestEvaluate:
         for budget in (0, 1, 3, 12):
             actives = [moe.active_set(seq, select_topk(sc, seq.mask, budget))
                        for (seq, _), sc in zip(data, scores)]
-            mask = np.zeros(scorer.seg.size, dtype=bool)
             correct = 0
-            for (seq, label), act, off in zip(data, actives, scorer.offsets):
-                mask[off + act] = True
-                if act.size:
+            for (seq, label), act in zip(data, actives):
+                if act.any():
                     logits = tiny_model.forward(seq, active=act).logits.data
                     correct += int(logits.argmax()) == label
             if budget == 0:
-                assert sum(act.size == 0 for act in actives) >= 40
-            assert scorer.accuracy(mask) == correct / len(data)
+                assert sum(not act.any() for act in actives) >= 40
+            assert scorer.accuracy(np.concatenate(actives)) == correct / len(data)
 
     def test_active_set_union(self):
         from pwcmoe.scheduler import OffloadDecision
         seq = make_seq([2, 3, 4], [1, 0, 0])
         d = OffloadDecision(selected=[2], budget=1)
-        assert moe.active_set(seq, d).tolist() == [0, 2]
-        assert moe.active_set(seq, None).tolist() == [0, 1, 2]
+        assert moe.active_set(seq, d).tolist() == [True, False, True]
+        assert moe.active_set(seq, OffloadDecision(selected=[], budget=0)).tolist() == \
+            [True, False, False]
 
 
 class TestTraining:
@@ -488,6 +492,21 @@ class TestCheckpoint:
             open(path, "wb").write(raw[:cut])
             with pytest.raises(CheckpointError, match="truncated"):
                 moe.load_model(path)
+
+    @pytest.mark.parametrize("dims", [(2**31, 8), (2**32 - 1, 2**32 - 1)])
+    def test_oversized_array_rejected_by_name(self, tmp_path, dims):
+        # the declared size is checked against the file before any read, in
+        # Python ints: no allocation, and no overflow in the byte count
+        from pwcmoe import checkpoint
+        path = str(tmp_path / "model.pwcm")
+        checkpoint.save_container(path, checkpoint.MAGIC_MODEL, {}, {"w_o": np.zeros((2, 2))})
+        raw = bytearray(open(path, "rb").read())
+        raw[-24:-16] = struct.pack("<2I", *dims)  # the shape, before 16 value bytes
+        open(path, "wb").write(bytes(raw))
+        with pytest.raises(checkpoint.CheckpointError) as info:
+            checkpoint.load_container(path, checkpoint.MAGIC_MODEL)
+        assert str(info.value) == (f"{path}: truncated: array 'w_o' of shape {dims} "
+                                   f"needs {4 * dims[0] * dims[1]} bytes, found 16")
 
 
     @pytest.mark.parametrize("field, value, message", [

@@ -133,13 +133,26 @@ class TestSegmentSoftmax:
         fd_check(lambda: T.tsum(T.segment_softmax(x, SEG, 3) * w), {"x": x})
 
     def test_one_segment_equals_the_general_path(self):
-        # one segment shifts by x.max() in place of np.maximum.at
         x = rand((9, 1), 23)
-        shift = np.full(1, -np.inf)
-        np.maximum.at(shift, np.zeros(9, dtype=np.intp), x.reshape(-1))
-        e = np.exp(x - shift[np.zeros(9, dtype=np.intp)].reshape(x.shape))
-        want = e * (1.0 / np.bincount(np.zeros(9, dtype=np.intp), weights=e.reshape(-1)))[0]
+        want = scatter_max_softmax(x, np.zeros(9, dtype=np.intp), 1)
         assert np.array_equal(T.segment_softmax(Tensor(x), np.zeros(9), 1).data, want)
+
+    @pytest.mark.parametrize("n", [16, 256])
+    def test_many_segments_equal_the_scatter_max_shift(self, n):
+        rng = np.random.default_rng(n)
+        seg = np.repeat(np.arange(n), rng.integers(1, 20, n))
+        x = rng.normal(size=(seg.size, 1)) * 30.0
+        want = scatter_max_softmax(x, seg, n)
+        assert np.array_equal(T.segment_softmax(Tensor(x), seg, n).data, want)
+
+
+def scatter_max_softmax(x, seg, n):
+    """Segment softmax shifted by a per-segment max from `np.maximum.at`:
+    the reference for the `np.maximum.reduceat` shift."""
+    shift = np.full(n, -np.inf)
+    np.maximum.at(shift, seg, x.reshape(-1))
+    e = np.exp(x - shift[seg].reshape(x.shape))
+    return e * (1.0 / np.bincount(seg, weights=e.reshape(-1), minlength=n))[seg].reshape(x.shape)
 
 
 def attention_reference(q, k, v, seg, heads):
@@ -229,7 +242,7 @@ class TestExpertDispatch:
     def test_rows_subset(self, fd_check):
         h, routed, experts = dispatch_inputs()
         assign = np.array([2, 0, 2, 1, 0, 2, 1])
-        rows = [5, 1, 3, 1, -1]          # duplicates collapse; -1 is row 6
+        rows = np.array([False, True, False, True, False, True, True])
         out = T.expert_dispatch(h, routed, assign, experts, rows)
         T.backward(T.tsum(out * rand((7, 3), 24)))
         outside = [0, 2, 4]
@@ -239,21 +252,6 @@ class TestExpertDispatch:
         w = rand((7, 3), 25)
         fd_check(lambda: T.tsum(T.expert_dispatch(h, routed, assign, experts, rows) * w),
                  dispatch_params(h, routed, experts))
-
-    @pytest.mark.parametrize("rows", [[5, 1, 3, 1, -1], [6, 6, 5, 3, 1], [3, -4, 1, 5, 6, 1]])
-    def test_unsorted_or_duplicate_rows_equal_sorted_unique_rows(self, rows):
-        assign = np.array([2, 0, 2, 1, 0, 2, 1])
-        unique = np.unique(np.arange(7)[rows])
-        w = rand((7, 3), 26)
-        results = []
-        for r in (rows, unique):
-            h, routed, experts = dispatch_inputs()
-            out = T.expert_dispatch(h, routed, assign, experts, r)
-            T.backward(T.tsum(out * w))
-            results.append([out.data, h.grad, routed.grad]
-                           + [p.grad for e in experts for p in e.values()])
-        for got, want in zip(*results):
-            assert np.array_equal(got, want)
 
 
 class TestLayerNorm:

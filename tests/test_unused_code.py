@@ -1,8 +1,11 @@
 """Every public function, class and method of `src/pwcmoe` has a caller.
 
 A name counts as used when `src/` (outside the name's own definition),
-`scripts/` or `perfbench/` mentions it, as a bare name or as an attribute.
-The check reads the sources with `ast` and imports nothing.
+`scripts/` or `perfbench/` reads it as a bare name, imports it, or reads it
+as an attribute. Where the name is also a field or an attribute of some
+object (a dataclass field, `obj.name = ...`), only a call `obj.name(...)`
+counts: `trace.mean_kl` is no use of a function `mean_kl`. The check reads
+the sources with `ast` and imports nothing.
 """
 
 import ast
@@ -41,13 +44,30 @@ def parse(path):
         return ast.parse(fh.read(), path)
 
 
-def mentioned(node) -> list:
-    """Every name and attribute that `node`'s subtree reads or writes."""
+def field_names(trees) -> set:
+    """Names that a class body declares or that code assigns as attributes."""
+    out = set()
+    for tree in trees:
+        for n in ast.walk(tree):
+            if isinstance(n, ast.ClassDef):
+                for item in n.body:
+                    targets = ([item.target] if isinstance(item, ast.AnnAssign)
+                               else item.targets if isinstance(item, ast.Assign) else [])
+                    out.update(t.id for t in targets if isinstance(t, ast.Name))
+            elif isinstance(n, ast.Attribute) and isinstance(n.ctx, ast.Store):
+                out.add(n.attr)
+    return out
+
+
+def mentioned(node, fields: set) -> list:
+    """Every name that `node`'s subtree reads, imports or calls; an attribute
+    named in `fields` only where it is called."""
+    called = {id(n.func) for n in ast.walk(node) if isinstance(n, ast.Call)}
     out = []
     for n in ast.walk(node):
-        if isinstance(n, ast.Name):
+        if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load):
             out.append(n.id)
-        elif isinstance(n, ast.Attribute):
+        elif isinstance(n, ast.Attribute) and (n.attr not in fields or id(n) in called):
             out.append(n.attr)
         elif isinstance(n, ast.alias):
             out.append(n.name.split(".")[-1])
@@ -68,17 +88,18 @@ def public_definitions(tree):
 
 def unreferenced() -> list:
     """`path:line name` of every public definition that nothing uses."""
-    outside = set()
-    for path in python_files("scripts", "perfbench"):
-        outside.update(mentioned(parse(path)))
+    others = [parse(path) for path in python_files("scripts", "perfbench")]
     trees = {path: parse(path) for path in python_files(os.path.join("src", "pwcmoe"))}
-    inside = collections.Counter(name for tree in trees.values() for name in mentioned(tree))
+    fields = field_names(others + list(trees.values()))
+    outside = {name for tree in others for name in mentioned(tree, fields)}
+    inside = collections.Counter(name for tree in trees.values()
+                                 for name in mentioned(tree, fields))
     missing = []
     for path, tree in trees.items():
         for node in public_definitions(tree):
             if node.name.startswith("_"):
                 continue
-            own = mentioned(node).count(node.name)
+            own = mentioned(node, fields).count(node.name)
             if inside[node.name] == own and node.name not in outside:
                 missing.append(f"{os.path.relpath(path, ROOT)}:{node.lineno} {node.name}")
     return missing
