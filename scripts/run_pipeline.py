@@ -21,7 +21,6 @@ def main(argv=None) -> int:
     parser.add_argument("--config", default=None, help="key = value config file")
     parser.add_argument("--seed", type=int, default=None)
     parser.add_argument("--out", default="runs/pipeline")
-    parser.add_argument("--emit-gnuplot", action="store_true")
     args = parser.parse_args(argv)
 
     common = ["--out", args.out]
@@ -32,8 +31,7 @@ def main(argv=None) -> int:
     for stage in cli.MODES:
         if stage == "channel-probe":
             continue
-        plot = ["--emit-gnuplot"] if args.emit_gnuplot and stage in cli.PLOT_MODES else []
-        rc = cli.run([stage] + common + plot)
+        rc = cli.run([stage] + common)
         if rc != 0:
             return rc
     print(f"artifacts written to {args.out}")

@@ -2,8 +2,8 @@
 
 Subcommands: train, train-predictor, eval, sweep-budget, sweep-distance,
 target-accuracy, channel-probe. Exit codes: 0 success, 1 user error (any
-OSError or ValueError, one line on stderr), 2 internal error. All randomness
-derives from the single --seed value.
+OSError or ValueError, or a diverged training loss; one line on stderr),
+2 internal error. All randomness derives from the single --seed value.
 
 Training and sweeps are deterministic in single-threaded mode: repeating a
 run with the same config and seed reproduces every output byte.
@@ -18,6 +18,7 @@ import traceback
 
 from .config import ExperimentSpec, load_config
 from . import harness
+from .tensor import DivergenceError
 
 
 class _UserErrorParser(argparse.ArgumentParser):
@@ -29,7 +30,6 @@ class _UserErrorParser(argparse.ArgumentParser):
 
 MODES = ["train", "train-predictor", "eval", "sweep-budget", "sweep-distance",
          "target-accuracy", "channel-probe"]
-PLOT_MODES = ("sweep-budget", "sweep-distance", "target-accuracy")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -40,9 +40,6 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--config", default=None, help="key = value config file")
         p.add_argument("--seed", type=int, default=None, help="master seed")
         p.add_argument("--out", default=".", help="output directory")
-        if mode in PLOT_MODES:
-            p.add_argument("--emit-gnuplot", action="store_true",
-                           help="also write gnuplot stubs next to the CSVs")
     return parser
 
 
@@ -66,17 +63,14 @@ def run(argv) -> int:
             acc = harness.run_eval(spec, args.out)
             print(f"test_accuracy = {acc:.4f}")
         elif args.mode == "sweep-budget":
-            harness.run_budget_sweep(spec, args.out,
-                                     emit_gnuplot=args.emit_gnuplot)
+            harness.run_budget_sweep(spec, args.out)
         elif args.mode == "sweep-distance":
-            harness.run_distance_sweep(spec, args.out,
-                                       emit_gnuplot=args.emit_gnuplot)
+            harness.run_distance_sweep(spec, args.out)
         elif args.mode == "target-accuracy":
-            harness.run_target_accuracy(spec, args.out,
-                                        emit_gnuplot=args.emit_gnuplot)
+            harness.run_target_accuracy(spec, args.out)
         elif args.mode == "channel-probe":
             harness.run_channel_probe(spec)
-    except (OSError, ValueError) as exc:
+    except (OSError, ValueError, DivergenceError) as exc:
         sys.stderr.write(f"error: {exc}\n")
         return 1
     except Exception:

@@ -4,6 +4,7 @@ and dotted section prefixes (e.g. `channel.f_c_ghz = 2.4`)."""
 from __future__ import annotations
 
 import hashlib
+import math
 from dataclasses import asdict, dataclass, field, fields
 
 from .channel import ChannelParams
@@ -96,20 +97,27 @@ class ExperimentSpec:
 _BOOL = {"true": True, "false": False, "1": True, "0": False}
 
 
+def _finite(value: str) -> float:
+    x = float(value)
+    if not math.isfinite(x):
+        raise ValueError(f"not finite: {value}")
+    return x
+
+
 def _coerce(value: str, ftype: str, key: str):
     value = value.strip()
     try:
         if ftype == "int":
             return int(value)
         if ftype == "float":
-            return float(value)
+            return _finite(value)
         if ftype == "bool":
             return _BOOL[value.lower()]
         if ftype == "str":
             return value
         if ftype == "list":
             items = [v.strip() for v in value.split(",") if v.strip()]
-            return [float(v) if "." in v or "e" in v.lower() else int(v)
+            return [_finite(v) if "." in v or "e" in v.lower() else int(v)
                     for v in items]
     except (ValueError, KeyError):
         raise ConfigError(f"bad value for {key}: {value!r} (expected {ftype})")

@@ -220,14 +220,3 @@ def load_dataset(train_path: str, test_path: str):
     test = load_csv(test_path, num_classes=num_classes)
     vocab = build_vocabulary(train)
     return train, test, vocab, num_classes
-
-
-def keyword_oracle_label(text: str, num_classes: int) -> Optional[int]:
-    """Majority vote over class-exclusive keywords; None when no keyword."""
-    counts = [0] * num_classes
-    for tok in split_text(text):
-        for c in range(num_classes):
-            if tok in class_keywords(c):
-                counts[c] += 1
-    best = max(counts)
-    return counts.index(best) if best > 0 else None

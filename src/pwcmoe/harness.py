@@ -58,15 +58,6 @@ def write_manifest(out_dir: str, spec: ExperimentSpec, artifacts: list):
             fh.write(f"{prefix}{a}\n")
 
 
-def write_gnuplot_stub(out_dir: str, csv_name: str, xlabel: str, ylabel: str):
-    stem = os.path.splitext(csv_name)[0]
-    path = os.path.join(out_dir, stem + ".gp")
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write("set datafile separator ','\n")
-        fh.write(f"set xlabel '{xlabel}'\nset ylabel '{ylabel}'\nset key autotitle columnhead\n")
-        fh.write(f"plot '{csv_name}' using 1:2 with linespoints\n")
-
-
 # -- dataset preparation ---------------------------------------------------
 
 @dataclass
@@ -259,7 +250,7 @@ def run_eval(spec: ExperimentSpec, out_dir: str):
     return acc
 
 
-def run_budget_sweep(spec: ExperimentSpec, out_dir: str, emit_gnuplot=False):
+def run_budget_sweep(spec: ExperimentSpec, out_dir: str):
     """Accuracy vs per-example uplink budget, predictor top-k vs random."""
     bundle, model, predictor = _load_artifacts(spec, out_dir, predictor=True)
     budgets = [int(k) for k in spec.sweep.budgets]
@@ -272,8 +263,6 @@ def run_budget_sweep(spec: ExperimentSpec, out_dir: str, emit_gnuplot=False):
         rows.append((k, "random", spec.sweep.trials, rmeans[k], rstds[k]))
     header = ["budget", "strategy", "trials", "accuracy_mean", "accuracy_std"]
     write_csv(os.path.join(out_dir, "budget_sweep.csv"), header, rows)
-    if emit_gnuplot:
-        write_gnuplot_stub(out_dir, "budget_sweep.csv", "tokens uploaded", "accuracy")
     write_manifest(out_dir, spec, ["budget_sweep.csv"])
     return rows
 
@@ -291,7 +280,7 @@ def _min_tokens_to_peak(ks, curve) -> tuple:
     return ks[-1], peak
 
 
-def run_distance_sweep(spec: ExperimentSpec, out_dir: str, emit_gnuplot=False):
+def run_distance_sweep(spec: ExperimentSpec, out_dir: str):
     """Per distance: median token budget, then the minimum budget each
     strategy needs to reach its own peak accuracy within that budget."""
     bundle, model, predictor = _load_artifacts(spec, out_dir, predictor=True)
@@ -316,13 +305,11 @@ def run_distance_sweep(spec: ExperimentSpec, out_dir: str, emit_gnuplot=False):
             rows.append((float(dist), m_ul, strategy, k_req, peak))
     header = ["distance_m", "m_ul_median", "strategy", "tokens_required", "accuracy"]
     write_csv(os.path.join(out_dir, "distance_sweep.csv"), header, rows)
-    if emit_gnuplot:
-        write_gnuplot_stub(out_dir, "distance_sweep.csv", "distance (m)", "tokens required")
     write_manifest(out_dir, spec, ["distance_sweep.csv"])
     return rows
 
 
-def run_target_accuracy(spec: ExperimentSpec, out_dir: str, emit_gnuplot=False):
+def run_target_accuracy(spec: ExperimentSpec, out_dir: str):
     """Smallest per-example budget reaching each target accuracy."""
     bundle, model, predictor = _load_artifacts(spec, out_dir, predictor=True)
     scorer = MaskScorer(model, bundle.test)
@@ -345,8 +332,6 @@ def run_target_accuracy(spec: ExperimentSpec, out_dir: str, emit_gnuplot=False):
     header = ["target", "strategy", "tokens_required", "reachable",
               "mean_tokens_used", "accuracy"]
     write_csv(os.path.join(out_dir, "target_accuracy.csv"), header, rows)
-    if emit_gnuplot:
-        write_gnuplot_stub(out_dir, "target_accuracy.csv", "target accuracy", "tokens required")
     write_manifest(out_dir, spec, ["target_accuracy.csv"])
     return rows
 

@@ -399,27 +399,3 @@ def save_model(model: MoEModel, path: str):
 
 def load_model(path: str) -> MoEModel:
     return load_params(path, MAGIC_MODEL, MoEModel, MoEConfig)
-
-
-def soft_expert_usage(model: MoEModel, data) -> np.ndarray:
-    """Mean soft routing mass per expert (noise-free), the usage notion the
-    load-balancing loss is defined on. Each group normalized to sum 1."""
-    k_p = model.config.num_privacy_experts
-    with T.no_grad():
-        _, z, mask, _ = batch_forward(model, data, mode="eval")
-    usage = np.zeros(model.config.num_experts)
-    if np.any(mask == 1):
-        up = z.data[mask == 1, :k_p].mean(axis=0)
-        usage[:k_p] = up / up.sum()
-    if np.any(mask == 0):
-        unp = z.data[mask == 0, k_p:].mean(axis=0)
-        usage[k_p:] = unp / unp.sum()
-    return usage
-
-
-def group_usage_ratio(usage: np.ndarray, k_p: int) -> tuple:
-    """Within-group max/min usage ratios (privacy, non-privacy groups)."""
-    def ratio(u):
-        lo = u.min()
-        return float("inf") if lo == 0 else float(u.max() / lo)
-    return ratio(usage[:k_p]), ratio(usage[k_p:])

@@ -234,33 +234,6 @@ def gather_rows(a: Tensor, idx) -> Tensor:
     return _make(a.data[idx], (a,), backward)
 
 
-def scatter_rows(a: Tensor, idx, num_rows: int) -> Tensor:
-    """Place rows of `a` at positions `idx` of an otherwise-zero matrix."""
-    idx = np.asarray(idx, dtype=np.intp)
-    data = np.zeros((num_rows,) + a.data.shape[1:], dtype=np.float64)
-    data[idx] = a.data
-
-    def backward(g):
-        if a.requires_grad:
-            a._accum_grad(g[idx])
-
-    return _make(data, (a,), backward)
-
-
-def gather_elems(a: Tensor, rows, cols) -> Tensor:
-    """Pick a[rows[i], cols[i]] for each i; returns a 1-D tensor."""
-    rows = np.asarray(rows, dtype=np.intp)
-    cols = np.asarray(cols, dtype=np.intp)
-
-    def backward(g):
-        if a.requires_grad:
-            acc = np.zeros_like(a.data)
-            np.add.at(acc, (rows, cols), g)
-            a._accum_grad(acc)
-
-    return _make(a.data[rows, cols], (a,), backward)
-
-
 def masked_fill(a: Tensor, mask: np.ndarray, value: float) -> Tensor:
     """Replace entries where mask is True by a constant; no grad there."""
     mask = np.asarray(mask, dtype=bool)
@@ -320,23 +293,25 @@ def softmax(a: Tensor, temperature: float = 1.0, axis: int = -1) -> Tensor:
 
 
 def _segment_positions(seg: np.ndarray, n_segments: int) -> tuple:
-    """(position of each row in its segment, rows per segment); segments are
-    contiguous runs of `seg`, numbered 0..n_segments-1 in order, none empty."""
+    """(position of each row in its segment, rows per segment, first row of
+    each segment); segments are contiguous runs of `seg`, numbered
+    0..n_segments-1 in order, none empty."""
     if n_segments == 1 and seg.size and not seg.any():
-        return np.arange(seg.size), np.array([seg.size])
+        return np.arange(seg.size), np.array([seg.size]), np.array([0])
     counts = None
     if seg.size and seg[0] >= 0 and not (seg[1:] < seg[:-1]).any():
         counts = np.bincount(seg, minlength=n_segments)
     if counts is None or counts.size != n_segments or counts.min() == 0:
         raise ValueError("segments must be contiguous and non-empty")
-    return np.arange(seg.size) - (np.cumsum(counts) - counts)[seg], counts
+    starts = np.cumsum(counts) - counts
+    return np.arange(seg.size) - starts[seg], counts, starts
 
 
 def segment_sum(a: Tensor, seg, n_segments: int) -> Tensor:
     """Row sums of each segment: output row s adds the rows i of `a` with
     seg[i] == s. Segments are contiguous, in order and non-empty."""
     seg = np.asarray(seg, dtype=np.intp)
-    pos, counts = _segment_positions(seg, n_segments)
+    pos, counts, _ = _segment_positions(seg, n_segments)
     # a sum over the padded axis adds each segment's rows in row order;
     # np.add.reduceat reorders them, which moves trained weights in low bits
     padded = np.zeros((n_segments, counts.max()) + a.data.shape[1:])
@@ -355,10 +330,10 @@ def segment_softmax(a: Tensor, seg, n_segments: int) -> Tensor:
     e * (1 / segment sum of e), the sums by bincount. Segments are
     contiguous, in order and non-empty."""
     seg = np.asarray(seg, dtype=np.intp)
-    _, counts = _segment_positions(seg, n_segments)
+    _, _, starts = _segment_positions(seg, n_segments)
     x = a.data
     # per-segment max as a gradient-free shift
-    shift = np.maximum.reduceat(x.reshape(-1), counts.cumsum() - counts)
+    shift = np.maximum.reduceat(x.reshape(-1), starts)
     e = np.exp(x - shift[seg].reshape(x.shape))
     sums = np.bincount(seg, weights=e.reshape(-1), minlength=n_segments)
     r = (1.0 / sums)[seg].reshape(x.shape)
@@ -384,7 +359,7 @@ def segment_attention(q: Tensor, k: Tensor, v: Tensor, seg, n_segments: int,
     n, p = q.data.shape
     if p % heads:
         raise ShapeError(f"{heads} heads do not divide width {p}")
-    pos, counts = _segment_positions(seg, n_segments)
+    pos, counts, _ = _segment_positions(seg, n_segments)
     dh = p // heads
     L = int(counts.max())
     scale = 1.0 / math.sqrt(dh)
@@ -509,7 +484,10 @@ def cross_entropy_batch(logits: Tensor, labels) -> Tensor:
     e = np.exp(x - m)
     p = e / e.sum(axis=1, keepdims=True)
     rows = np.arange(x.shape[0])
-    data = -np.log(p[rows, labels])
+    # a true-label probability of 0 is an infinite loss, which the training
+    # loops report as divergence
+    with np.errstate(divide="ignore"):
+        data = -np.log(p[rows, labels])
 
     def backward(g):
         if logits.requires_grad:

@@ -49,6 +49,38 @@ def fd_check():
     return finite_difference_check
 
 
+def select_random(mask, budget: int, rng: RngStream) -> scheduler.OffloadDecision:
+    """Uniform sample without replacement from the non-sensitive tokens: one
+    uniform key per token from `rng`, the `budget` lowest-keyed
+    non-sensitive tokens taken. Every call draws `len(mask)` keys. The
+    per-example reference for `harness.random_ranks`."""
+    return scheduler.select_topk(-rng.uniform(len(mask)), mask, budget)
+
+
+def soft_expert_usage(model, data) -> np.ndarray:
+    """Mean soft routing mass per expert (noise-free), the usage notion the
+    load-balancing loss is defined on. Each group normalized to sum 1."""
+    k_p = model.config.num_privacy_experts
+    with T.no_grad():
+        _, z, mask, _ = moe.batch_forward(model, data, mode="eval")
+    usage = np.zeros(model.config.num_experts)
+    if np.any(mask == 1):
+        up = z.data[mask == 1, :k_p].mean(axis=0)
+        usage[:k_p] = up / up.sum()
+    if np.any(mask == 0):
+        unp = z.data[mask == 0, k_p:].mean(axis=0)
+        usage[k_p:] = unp / unp.sum()
+    return usage
+
+
+def group_usage_ratio(usage: np.ndarray, k_p: int) -> tuple:
+    """Within-group max/min usage ratios (privacy, non-privacy groups)."""
+    def ratio(u):
+        lo = u.min()
+        return float("inf") if lo == 0 else float(u.max() / lo)
+    return ratio(usage[:k_p]), ratio(usage[k_p:])
+
+
 def reference_accuracy(model, data, decide):
     """Accuracy under one offload decision per example, `decide(i, seq)`,
     scored one decision at a time: each example pools
@@ -79,7 +111,7 @@ def reference_topk_accuracy(model, predictor, data, budget):
 
 
 def reference_random_means(model, data, budgets, trials, seed, label):
-    """Mean `reference_accuracy` per budget under `scheduler.select_random`.
+    """Mean `reference_accuracy` per budget under `select_random`.
     Trial t replays stream `{label}/trial{t}` at every budget, one
     `select_random` per example in data order."""
     means = {}
@@ -88,6 +120,6 @@ def reference_random_means(model, data, budgets, trials, seed, label):
         for t in range(trials):
             rng = RngStream(seed, f"{label}/trial{t}")
             accs.append(reference_accuracy(
-                model, data, lambda i, seq: scheduler.select_random(seq.mask, k, rng)))
+                model, data, lambda i, seq: select_random(seq.mask, k, rng)))
         means[k] = float(np.mean(accs))
     return means

@@ -18,7 +18,8 @@ from pwcmoe.predictor import ImportancePredictor
 from pwcmoe.rng import RngStream
 from pwcmoe.tensor import Tensor
 
-from conftest import positions, reference_random_means, reference_topk_accuracy
+from conftest import (positions, reference_random_means, reference_topk_accuracy,
+                      select_random)
 
 
 ROOT = os.path.join(os.path.dirname(__file__), "..")
@@ -256,11 +257,10 @@ class TestRuns:
     def test_budget_sweep_output(self, trained, tmp_path):
         spec = trained[0]
         out = run_dir(trained, tmp_path)
-        rows = harness.run_budget_sweep(spec, out, emit_gnuplot=True)
+        rows = harness.run_budget_sweep(spec, out)
         lines = open(os.path.join(out, "budget_sweep.csv")).read().splitlines()
         assert lines[0] == "budget,strategy,trials,accuracy_mean,accuracy_std"
         assert len(rows) == 2 * len(spec.sweep.budgets)
-        assert os.path.exists(os.path.join(out, "budget_sweep.gp"))
         for _, _, _, acc, std in rows:
             assert 0.0 <= acc <= 1.0 and std >= 0.0
 
@@ -420,7 +420,7 @@ class TestMasks:
         assert len(ranks) == 2
         for t, rank in enumerate(ranks):
             rng = RngStream(3, f"r/trial{t}")
-            actives = [moe.active_set(seq, scheduler.select_random(seq.mask, k, rng))
+            actives = [moe.active_set(seq, select_random(seq.mask, k, rng))
                        for seq, _ in tied_data]
             assert np.array_equal(tied.sensitive | (rank < k), np.concatenate(actives))
 
@@ -677,12 +677,20 @@ class TestCli:
                      "header_only.csv: no examples", id="header-only-csv"),
         pytest.param("data.source = csv\ndata.csv_train = {tmp}\ndata.csv_test = {tmp}",
                      "Is a directory", id="csv-is-directory"),
+        ("model.tau = nan", "bad value for model.tau"),
+        ("channel.d_c_m = nan", "bad value for channel.d_c_m"),
+        ("channel.t_ul_s = inf", "bad value for channel.t_ul_s"),
+        ("sweep.distances = 100,1e999", "bad value for sweep.distances"),
+        pytest.param("model.learning_rate = 1e6", "loss diverged (NaN/Inf) at round 1",
+                     id="diverging-learning-rate"),
     ])
     def test_bad_config_value_exits_1_with_one_line(self, tmp_path, capsys, line, message):
+        # `train` is the first stage: each case fails there, so none needs
+        # a checkpoint from an earlier stage
         (tmp_path / "header_only.csv").write_text("text,label\n")
         cfg = tmp_path / "bad.cfg"
         cfg.write_text(TINY_CONFIG_TEXT + line.format(tmp=tmp_path) + "\n")
-        assert cli.run(["sweep-budget", "--config", str(cfg), "--out", str(tmp_path)]) == 1
+        assert cli.run(["train", "--config", str(cfg), "--out", str(tmp_path)]) == 1
         err = capsys.readouterr().err
         assert err.startswith("error: ") and message in err
         assert err.count("\n") == 1

@@ -12,6 +12,8 @@ from pwcmoe.rng import RngStream
 from pwcmoe.scheduler import select_topk
 from pwcmoe.tensor import Tensor
 
+from conftest import group_usage_ratio, soft_expert_usage
+
 
 def make_seq(ids, mask):
     return TokenSequence(ids=list(ids), mask=list(mask),
@@ -250,6 +252,33 @@ class TestForward:
         assert np.all(np.isfinite(tiny_model.w_g.grad))
 
 
+def gather_elems(a: Tensor, rows, cols) -> Tensor:
+    """Pick a[rows[i], cols[i]] for each i; returns a 1-D tensor."""
+    rows = np.asarray(rows, dtype=np.intp)
+    cols = np.asarray(cols, dtype=np.intp)
+
+    def backward(g):
+        if a.requires_grad:
+            acc = np.zeros_like(a.data)
+            np.add.at(acc, (rows, cols), g)
+            a._accum_grad(acc)
+
+    return T._make(a.data[rows, cols], (a,), backward)
+
+
+def scatter_rows(a: Tensor, idx, num_rows: int) -> Tensor:
+    """Place rows of `a` at positions `idx` of an otherwise-zero matrix."""
+    idx = np.asarray(idx, dtype=np.intp)
+    data = np.zeros((num_rows,) + a.data.shape[1:], dtype=np.float64)
+    data[idx] = a.data
+
+    def backward(g):
+        if a.requires_grad:
+            a._accum_grad(g[idx])
+
+    return T._make(data, (a,), backward)
+
+
 def composed_route_hard(model, h, routed, assign, active=None):
     """Expert dispatch built from single autodiff ops, one gather, MLP,
     gate and scatter per expert: the reference for `T.expert_dispatch`."""
@@ -261,8 +290,8 @@ def composed_route_hard(model, h, routed, assign, active=None):
         e = model.experts[j]
         x = T.gather_rows(h, idx)
         out = T.matmul(T.relu(T.matmul(x, e["w1"]) + e["b1"]), e["w2"]) + e["b2"]
-        gate = T.reshape(T.gather_elems(routed, idx, np.full(idx.shape, j)), (len(idx), 1))
-        piece = T.scatter_rows(out * gate, idx, L)
+        gate = T.reshape(gather_elems(routed, idx, np.full(idx.shape, j)), (len(idx), 1))
+        piece = scatter_rows(out * gate, idx, L)
         h_prime = piece if h_prime is None else h_prime + piece
     return h_prime
 
@@ -543,16 +572,16 @@ class TestUsage:
         rng = np.random.default_rng(2)
         data = [(make_seq(rng.integers(2, 12, 4), [1, 0, 0, 0]), 0)
                 for _ in range(10)]
-        usage = moe.soft_expert_usage(tiny_model, data)
+        usage = soft_expert_usage(tiny_model, data)
         k_p = tiny_model.config.num_privacy_experts
         assert usage[:k_p].sum() == pytest.approx(1.0)
         assert usage[k_p:].sum() == pytest.approx(1.0)
 
     def test_group_usage_ratio_hand_values(self):
-        ratios = moe.group_usage_ratio(np.array([0.6, 0.4, 0.2, 0.3, 0.5]), 2)
+        ratios = group_usage_ratio(np.array([0.6, 0.4, 0.2, 0.3, 0.5]), 2)
         assert ratios[0] == pytest.approx(1.5)
         assert ratios[1] == pytest.approx(2.5)
 
     def test_zero_usage_gives_infinite_ratio(self):
-        ratios = moe.group_usage_ratio(np.array([1.0, 0.0, 0.5, 0.5]), 2)
+        ratios = group_usage_ratio(np.array([1.0, 0.0, 0.5, 0.5]), 2)
         assert ratios[0] == float("inf")

@@ -6,6 +6,8 @@ from hypothesis import strategies as st
 from pwcmoe import scheduler as sched
 from pwcmoe.rng import RngStream
 
+from conftest import select_random
+
 MASK = [0, 1, 0, 0, 1, 0]  # non-sensitive indices: 0, 2, 3, 5
 NONSENSITIVE = [0, 2, 3, 5]
 
@@ -78,72 +80,21 @@ class TestSelectTopk:
 
 class TestSelectRandom:
     def test_partition_and_budget(self):
-        d = sched.select_random(MASK, 2, RngStream(0, "r"))
+        d = select_random(MASK, 2, RngStream(0, "r"))
         assert len(d.selected) == 2
         assert sorted(d.selected + dropped(d)) == NONSENSITIVE
 
     def test_reproducible(self):
-        a = sched.select_random(MASK, 2, RngStream(3, "r"))
-        b = sched.select_random(MASK, 2, RngStream(3, "r"))
+        a = select_random(MASK, 2, RngStream(3, "r"))
+        b = select_random(MASK, 2, RngStream(3, "r"))
         assert a.selected == b.selected
 
     def test_covers_all_candidates_over_draws(self):
         seen = set()
         for t in range(200):
-            seen.update(sched.select_random(MASK, 1, RngStream(t, "r")).selected)
+            seen.update(select_random(MASK, 1, RngStream(t, "r")).selected)
         assert seen == {0, 2, 3, 5}
 
     def test_zero_budget(self):
-        d = sched.select_random(MASK, 0, RngStream(0, "r"))
+        d = select_random(MASK, 0, RngStream(0, "r"))
         assert d.selected == []
-
-
-class TestOracle:
-    def test_recovers_planted_optimum(self):
-        target = (2, 5)
-
-        def conf(subset):
-            return 1.0 if subset == target else 0.1 * len(subset)
-
-        decision, best = sched.brute_force_oracle(conf, MASK, budget=2)
-        assert tuple(decision.selected) == target
-        assert best == 1.0
-
-    def test_additive_confidence_matches_topk(self):
-        scores = np.array([0.4, 0.0, 0.9, 0.2, 0.0, 0.7])
-
-        def conf(subset):
-            return float(sum(scores[list(subset)]))
-
-        decision, _ = sched.brute_force_oracle(conf, MASK, budget=2)
-        assert decision.selected == sched.select_topk(scores, MASK, 2).selected
-
-    def test_tie_keeps_first_enumerated(self):
-        decision, best = sched.brute_force_oracle(lambda s: 0.5, MASK, budget=2)
-        assert decision.selected == []
-        assert best == 0.5
-
-    def test_empty_subset_considered(self):
-        decision, best = sched.brute_force_oracle(
-            lambda s: 1.0 if not s else 0.0, MASK, budget=3)
-        assert decision.selected == []
-        assert best == 1.0
-
-    def test_instance_size_bound(self):
-        big_mask = [0] * (sched.ORACLE_MAX_TOKENS + 1)
-        with pytest.raises(ValueError, match="too large"):
-            sched.brute_force_oracle(lambda s: 0.0, big_mask, budget=1)
-
-    def test_oracle_at_least_as_good_as_any_strategy(self):
-        rng = np.random.default_rng(11)
-        scores = rng.uniform(0, 1, 6)
-
-        def conf(subset):
-            return float(sum(scores[list(subset)]) ** 0.5)
-
-        _, best = sched.brute_force_oracle(conf, MASK, budget=2)
-        topk = sched.select_topk(scores, MASK, 2)
-        assert best >= conf(tuple(topk.selected)) - 1e-12
-        for t in range(20):
-            rnd = sched.select_random(MASK, 2, RngStream(t, "r"))
-            assert best >= conf(tuple(rnd.selected)) - 1e-12

@@ -110,10 +110,11 @@ class TestSegmentSum:
     @pytest.mark.parametrize("n", [1, 2, 5])
     def test_one_segment_positions_match_the_general_formula(self, n):
         seg = np.zeros(n, dtype=np.intp)
-        pos, counts = T._segment_positions(seg, 1)
+        pos, counts, starts = T._segment_positions(seg, 1)
         counts_ref = np.bincount(seg, minlength=1)
-        pos_ref = np.arange(n) - (np.cumsum(counts_ref) - counts_ref)[seg]
-        for got, want in ((pos, pos_ref), (counts, counts_ref)):
+        starts_ref = np.cumsum(counts_ref) - counts_ref
+        pos_ref = np.arange(n) - starts_ref[seg]
+        for got, want in ((pos, pos_ref), (counts, counts_ref), (starts, starts_ref)):
             assert got.dtype == want.dtype and np.array_equal(got, want)
 
 
@@ -379,10 +380,6 @@ class TestIndexing:
         want = np.zeros(shape)
         np.add.at(want, idx, g)
         assert np.array_equal(x.grad, want) and x.grad.shape == shape
-
-    def test_scatter_rows_places_rows(self):
-        out = T.scatter_rows(Tensor([[1.0, 2.0]]), [2], 4)
-        assert np.allclose(out.data, [[0, 0], [0, 0], [1, 2], [0, 0]])
 
     def test_gather_out_of_range(self):
         with pytest.raises(IndexError):

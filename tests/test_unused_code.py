@@ -4,8 +4,10 @@ A name counts as used when `src/` (outside the name's own definition),
 `scripts/` or `perfbench/` reads it as a bare name, imports it, or reads it
 as an attribute. Where the name is also a field or an attribute of some
 object (a dataclass field, `obj.name = ...`), only a call `obj.name(...)`
-counts: `trace.mean_kl` is no use of a function `mean_kl`. The check reads
-the sources with `ast` and imports nothing.
+counts: `trace.mean_kl` is no use of a function `mean_kl`. Tests do not
+count, and there are no exceptions: a reference that only tests compare
+against lives in `tests/`. The check reads the sources with `ast` and
+imports nothing.
 """
 
 import ast
@@ -13,22 +15,6 @@ import collections
 import os
 
 ROOT = os.path.join(os.path.dirname(__file__), "..")
-
-# names that only tests call, each kept as a reference for a test
-TEST_ONLY = {
-    "gather_elems": "with scatter_rows, builds the unfused expert graph that "
-                    "expert_dispatch is checked against bitwise",
-    "scatter_rows": "see gather_elems",
-    "select_random": "the per-example random ranking the sweep's rank arrays "
-                     "are checked against",
-    "brute_force_oracle": "the exhaustive minimal-budget search the acceptance "
-                          "tests compare offloading with",
-    "keyword_oracle_label": "the keyword majority vote that shows the synthetic "
-                            "corpus is learnable",
-    "soft_expert_usage": "the per-group expert usage of the load-balancing "
-                         "acceptance test",
-    "group_usage_ratio": "the max/min usage ratio of the same test",
-}
 
 
 def python_files(*dirs):
@@ -106,11 +92,5 @@ def unreferenced() -> list:
 
 
 def test_every_public_name_has_a_caller():
-    missing = [m for m in unreferenced() if m.split()[-1] not in TEST_ONLY]
+    missing = unreferenced()
     assert missing == [], "no stage, script or benchmark uses: " + ", ".join(missing)
-
-
-def test_every_test_only_name_is_still_defined_and_unused():
-    # a name on the list that gains a caller, or goes, leaves the list too
-    unused = {m.split()[-1] for m in unreferenced()}
-    assert sorted(set(TEST_ONLY) - unused) == []
