@@ -77,8 +77,12 @@ def channel_gain(pl_db: float, psi, chi):
 
 def snr_linear(h_ul, params: ChannelParams):
     """Linear SNR = P h / (N0 W), with P and N0 converted from dBm scale."""
-    p_mw = 10.0 ** (params.tx_power_dbm / 10.0)
-    n_mw = 10.0 ** (params.noise_psd_dbm_hz / 10.0) * params.bandwidth_hz
+    try:
+        p_mw = 10.0 ** (params.tx_power_dbm / 10.0)
+        n_mw = 10.0 ** (params.noise_psd_dbm_hz / 10.0) * params.bandwidth_hz
+    except OverflowError:
+        raise ValueError(f"transmit power {params.tx_power_dbm:g} dBm or noise density "
+                         f"{params.noise_psd_dbm_hz:g} dBm/Hz overflows in mW") from None
     return p_mw * h_ul / n_mw
 
 
@@ -91,17 +95,22 @@ def token_budget(rate, t_ul_s: float, bits_per_tok: int):
     an int for a scalar rate, an int64 array for an array of rates."""
     if t_ul_s <= 0 or bits_per_tok <= 0:
         raise ValueError("uplink time and bits per token must be positive")
-    m = np.floor(t_ul_s * np.asarray(rate) / bits_per_tok).astype(np.int64)
-    return int(m) if m.ndim == 0 else m
+    m = np.floor(t_ul_s * np.asarray(rate) / bits_per_tok)
+    if not np.all(m < 2.0 ** 63):  # false for inf and NaN too
+        raise ValueError(f"token budget {np.max(m):g} per uplink window does not fit "
+                         f"in int64 (uplink time {t_ul_s:g} s)")
+    return int(m) if m.ndim == 0 else m.astype(np.int64)
 
 
 def uplink_chain(params: ChannelParams, pl_db: float, psi, chi) -> tuple:
     """Gain -> SNR -> rate -> token budget, for scalar or array draws of
-    shadowing and fading. Returns (h_ul, snr, rate_bps, m_ul)."""
-    h = channel_gain(pl_db, psi, chi)
-    s = snr_linear(h, params)
-    r = rate_bps(s, params.bandwidth_hz)
-    return h, s, r, token_budget(r, params.t_ul_s, params.bits_per_token)
+    shadowing and fading. Returns (h_ul, snr, rate_bps, m_ul); an overflow
+    on the way ends as a budget that `token_budget` rejects."""
+    with np.errstate(all="ignore"):
+        h = channel_gain(pl_db, psi, chi)
+        s = snr_linear(h, params)
+        r = rate_bps(s, params.bandwidth_hz)
+        return h, s, r, token_budget(r, params.t_ul_s, params.bits_per_token)
 
 
 def draw_realization(

@@ -61,6 +61,12 @@ def load_container(path: str, magic: bytes):
                 raise CheckpointError(f"{path}: truncated: {what} needs {n} bytes, found {left}")
             return fh.read(n)
 
+        def text(n: int, what: str) -> str:
+            try:
+                return read(n, what).decode("utf-8")
+            except UnicodeDecodeError as exc:
+                raise CheckpointError(f"{path}: {what} is not UTF-8: {exc}") from None
+
         got = read(4, "magic")
         if got != magic:
             raise CheckpointError(f"{path}: bad magic {got!r}, expected {magic!r}")
@@ -70,7 +76,7 @@ def load_container(path: str, magic: bytes):
                 f"{path}: format version {version} unsupported (expected {FORMAT_VERSION})"
             )
         (cfg_len,) = struct.unpack("<I", read(4, "config length"))
-        cfg_text = read(cfg_len, "config").decode("utf-8")
+        cfg_text = text(cfg_len, "config block")
         config = {}
         for line in cfg_text.splitlines():
             if line:
@@ -80,7 +86,7 @@ def load_container(path: str, magic: bytes):
         arrays = {}
         for i in range(n_arrays):
             (name_len,) = struct.unpack("<H", read(2, f"array {i} name length"))
-            name = read(name_len, f"array {i} name").decode("utf-8")
+            name = text(name_len, f"array {i} name")
             (rank,) = struct.unpack("<B", read(1, f"array {name!r} rank"))
             dims = struct.unpack(f"<{rank}I", read(4 * rank, f"array {name!r} shape"))
             # a Python int product: no shape overflows it

@@ -20,8 +20,8 @@ from . import corpus
 from . import tensor as T
 from .checkpoint import FORMAT_VERSION
 from .config import ExperimentSpec, config_hash
-from .moe import (EVAL_CHUNK, MaskScorer, MoEConfig, MoEModel, active_set, evaluate,
-                  load_model, save_model, train_model)
+from .moe import (EVAL_CHUNK, MaskScorer, MoEConfig, MoEModel, active_set, batches,
+                  evaluate, load_model, save_model, train_model)
 from .predictor import (ImportancePredictor, PredictorConfig, collect_dataset,
                         load_predictor, save_predictor, train_predictor)
 from .rng import RngStream
@@ -150,10 +150,10 @@ def rank_tokens(scorer: MaskScorer, key: np.ndarray) -> np.ndarray:
 def topk_ranks(scorer: MaskScorer, predictor: ImportancePredictor) -> np.ndarray:
     """Predictor top-k as a rank array: highest score first. The test split
     is scored in packed forwards of `EVAL_CHUNK` examples."""
-    seqs = np.split(scorer.model.embedding.data[scorer.ids], scorer.offsets[1:-1])
+    table = scorer.model.embedding.data
     with T.no_grad():
-        scores = np.concatenate([predictor.predict_batch(seqs[s:s + EVAL_CHUNK]).data
-                                 for s in range(0, len(seqs), EVAL_CHUNK)])
+        scores = np.concatenate([predictor.predict_batch(table[scorer.ids[rows]], seg).data
+                                 for _, rows, seg in batches(scorer.offsets, EVAL_CHUNK)])
     return rank_tokens(scorer, -scores.reshape(-1))
 
 
@@ -231,8 +231,8 @@ def run_train(spec: ExperimentSpec, out_dir: str, log=print):
 
 def run_train_predictor(spec: ExperimentSpec, out_dir: str, log=print):
     bundle, model, _ = _load_artifacts(spec, out_dir)
-    records = collect_dataset(model, bundle.train)
-    predictor, trace = train_predictor(records, predictor_config(spec), spec.seed, log=log)
+    dataset = collect_dataset(model, bundle.train)
+    predictor, trace = train_predictor(dataset, predictor_config(spec), spec.seed, log=log)
     save_predictor(predictor, os.path.join(out_dir, spec.predictor.checkpoint))
     csv_path = os.path.join(out_dir, "predictor_metrics.csv")
     write_csv(csv_path, ["epoch", "mean_kl"],
@@ -274,24 +274,22 @@ def _nonsensitive_counts(scorer: MaskScorer) -> np.ndarray:
 
 def _min_tokens_to_peak(ks, curve) -> tuple:
     peak = max(curve[k] for k in ks)
-    for k in ks:
-        if curve[k] >= peak - 1e-12:
-            return k, peak
-    return ks[-1], peak
+    return next(k for k in ks if curve[k] >= peak - 1e-12), peak
 
 
 def run_distance_sweep(spec: ExperimentSpec, out_dir: str):
-    """Per distance: median token budget, then the minimum budget each
-    strategy needs to reach its own peak accuracy within that budget."""
-    bundle, model, predictor = _load_artifacts(spec, out_dir, predictor=True)
-    scorer = MaskScorer(model, bundle.test)
-    max_ns = int(_nonsensitive_counts(scorer).max())
+    """Per distance: median token budget (drawn before any checkpoint is
+    read), then the minimum budget each strategy needs to reach its own
+    peak accuracy within that budget."""
     base = spec.channel.params(spec.model.d)
     m_uls = []
     for di, dist in enumerate(spec.sweep.distances):
         params = replace(base, d_c_m=float(dist))
         rng = RngStream(spec.seed, f"sweep-distance/channel/d{di}")
         m_uls.append(int(np.median(ch.budget_samples(params, rng, spec.sweep.channel_draws))))
+    bundle, model, predictor = _load_artifacts(spec, out_dir, predictor=True)
+    scorer = MaskScorer(model, bundle.test)
+    max_ns = int(_nonsensitive_counts(scorer).max())
     k_maxes = [min(m_ul, max_ns) for m_ul in m_uls]
     # one top-k curve up to the largest budget; each distance reads its prefix
     topk = topk_curve(scorer, predictor, range(max(k_maxes, default=0) + 1))
@@ -322,13 +320,11 @@ def run_target_accuracy(spec: ExperimentSpec, out_dir: str):
     for target in spec.sweep.targets:
         for strategy, curve in (("topk", topk), ("random", rmeans)):
             k_req = next((k for k in ks if curve[k] >= float(target)), None)
-            reachable = int(k_req is not None)
             if k_req is None:
                 rows.append((float(target), strategy, -1, 0, -1.0, -1.0))
             else:
-                mean_used = float(np.mean(np.minimum(k_req, n_ns)))
-                rows.append((float(target), strategy, k_req, reachable,
-                             mean_used, curve[k_req]))
+                rows.append((float(target), strategy, k_req, 1,
+                             float(np.mean(np.minimum(k_req, n_ns))), curve[k_req]))
     header = ["target", "strategy", "tokens_required", "reachable",
               "mean_tokens_used", "accuracy"]
     write_csv(os.path.join(out_dir, "target_accuracy.csv"), header, rows)

@@ -120,10 +120,7 @@ class ForwardResult:
     z: Tensor               # (N, K) soft routing probabilities
     routed: Tensor          # (N, K) straight-through one-hot (or z in soft mode)
     assign: np.ndarray      # selected expert per token
-    h: Tensor               # (N, d) embeddings
     h_prime: Tensor         # (N, d) expert outputs, zero on inactive tokens
-    mask: np.ndarray        # (N,) privacy mask
-    seg: np.ndarray         # (N,) example index of each token
 
     def probs(self) -> np.ndarray:
         """Class probabilities of a single-example result."""
@@ -186,10 +183,10 @@ class MoEModel(T.Module):
         pieces = [T.expert_dispatch(h, z, np.full(L, j), self.experts) for j in range(K)]
         return functools.reduce(T.add, pieces)
 
-    def forward_batch(self, batch, rng: Optional[RngStream] = None,
+    def forward_batch(self, ids, mask, seg, rng: Optional[RngStream] = None,
                       mode: str = "eval", active=None) -> ForwardResult:
-        """The one MoE forward. Packs a list of (seq, label) pairs into one
-        token matrix (`pack`), so that expert dispatch and pooling run as a
+        """The one MoE forward, over examples packed as by `pack` (token ids,
+        privacy mask and `seg`), so that expert dispatch and pooling run as a
         few large numpy ops.
 
         Modes: 'train' (Gumbel noise + hard straight-through), 'eval'
@@ -199,7 +196,6 @@ class MoEModel(T.Module):
         of them); an example with none raises ValueError.
         """
         c = self.config
-        ids, mask, seg, _ = pack(batch)
         n_tok = ids.shape[0]
         h = T.gather_rows(self.embedding, ids)
         g = gate_logits(h, self.w_g, self.b_g)
@@ -221,9 +217,9 @@ class MoEModel(T.Module):
         pos = np.arange(n_tok) if active is None else np.flatnonzero(active)
         # training pools every token: skip the gather and its scatter-add backward
         rows = h_prime if pos.size == n_tok else T.gather_rows(h_prime, pos)
-        alpha, logits = self.classify(rows, seg[pos], len(batch))
+        alpha, logits = self.classify(rows, seg[pos], int(seg[-1]) + 1)
         return ForwardResult(logits=logits, alpha=alpha, z=z, routed=routed,
-                             assign=assign, h=h, h_prime=h_prime, mask=mask, seg=seg)
+                             assign=assign, h_prime=h_prime)
 
     def classify(self, rows: Tensor, seg, n_examples: int) -> tuple:
         """Pool expert-output rows per example (`seg`), then layer norm and
@@ -240,15 +236,15 @@ class MoEModel(T.Module):
             flags = np.zeros(seq.length, dtype=bool)
             flags[active] = True
             active = flags
-        return self.forward_batch([(seq, None)], rng=rng, mode=mode, active=active)
+        ids, mask, seg, _ = pack([(seq, None)])
+        return self.forward_batch(ids, mask, seg, rng=rng, mode=mode, active=active)
 
-    def loss(self, batch, rng: Optional[RngStream] = None, mode: str = "train"):
-        """(loss, ForwardResult) over a list of (seq, label) pairs: mean
+    def loss(self, ids, mask, seg, labels, rng: Optional[RngStream] = None, mode: str = "train"):
+        """(loss, ForwardResult) over packed examples and their labels: mean
         cross-entropy plus `lambda_lb` times the load-balancing loss."""
-        res = self.forward_batch(batch, rng=rng, mode=mode)
-        task = T.tmean(T.cross_entropy_batch(res.logits, [label for _, label in batch]))
-        lb = batch_load_balance(res.z, res.mask, res.seg, len(batch),
-                                self.config.num_privacy_experts)
+        res = self.forward_batch(ids, mask, seg, rng=rng, mode=mode)
+        task = T.tmean(T.cross_entropy_batch(res.logits, labels))
+        lb = batch_load_balance(res.z, mask, seg, len(labels), self.config.num_privacy_experts)
         return task + lb * self.config.lambda_lb, res
 
 
@@ -263,11 +259,28 @@ def pack(pairs) -> tuple:
     return ids, mask, seg, np.array([0, *itertools.accumulate(lengths)])
 
 
-def batch_forward(model: MoEModel, batch, mode: str = "eval"):
-    """`MoEModel.forward_batch` as (logits (B, C), z (N_tok, K), mask array,
-    seg ids)."""
-    res = model.forward_batch(batch, mode=mode)
-    return res.logits, res.z, res.mask, res.seg
+def batches(offsets: np.ndarray, size: int, order=None):
+    """Minibatches of `size` examples of a split packed by `pack` with these
+    `offsets`, taken in `order` (default: packed order). Yields (examples,
+    rows, seg): their indices, their packed rows, and each row's example as
+    `pack` numbers those examples alone."""
+    order = np.arange(offsets.size - 1) if order is None else np.asarray(order)
+    for start in range(0, order.size, size):
+        examples = order[start:start + size]
+        first = offsets[examples]
+        lengths = offsets[examples + 1] - first
+        seg = np.arange(examples.size).repeat(lengths)
+        # each row's position within its example, added to the example's first row
+        within = np.arange(seg.size) - (np.cumsum(lengths) - lengths)[seg]
+        yield examples, first[seg] + within, seg
+
+
+def batch_forward(model: MoEModel, pairs, mode: str = "eval"):
+    """`MoEModel.forward_batch` over a list of (seq, label) pairs, as
+    (logits (B, C), z (N_tok, K), mask array, seg ids)."""
+    ids, mask, seg, _ = pack(pairs)
+    res = model.forward_batch(ids, mask, seg, mode=mode)
+    return res.logits, res.z, mask, seg
 
 
 def batch_load_balance(z: Tensor, mask: np.ndarray, seg: np.ndarray,
@@ -320,12 +333,11 @@ class MaskScorer:
 
     def __init__(self, model: MoEModel, data):
         self.model = model
-        rows = []
-        with T.no_grad():
-            for s in range(0, len(data), EVAL_CHUNK):
-                rows.append(model.forward_batch(data[s:s + EVAL_CHUNK], mode="eval").h_prime.data)
         self.ids, mask, self.seg, self.offsets = pack(data)
-        self.h_prime = np.concatenate(rows)
+        with T.no_grad():  # chunks in packed order: their rows concatenate to the split's
+            self.h_prime = np.concatenate([
+                model.forward_batch(self.ids[rows], mask[rows], seg, mode="eval").h_prime.data
+                for _, rows, seg in batches(self.offsets, EVAL_CHUNK)])
         self.sensitive = mask == 1
         self.labels = np.asarray([label for _, label in data])
 
@@ -367,14 +379,14 @@ def train_model(
     shuffle_rng = RngStream(seed, "train/shuffle")
     noise_rng = RngStream(seed, "train/gumbel")
     trace = TrainTrace()
-    n = len(train_data)
+    ids, mask, _, offsets = pack(train_data)
+    labels = np.asarray([label for _, label in train_data])
     for epoch in range(c.epochs):
-        order = shuffle_rng.permutation(n)
+        order = shuffle_rng.permutation(labels.size)
         losses = []
-        for start in range(0, n, c.batch_size):
-            batch = [train_data[i] for i in order[start:start + c.batch_size]]
+        for examples, rows, seg in batches(offsets, c.batch_size, order):
             model.zero_grad()
-            batch_loss, _ = model.loss(batch, rng=noise_rng)
+            batch_loss, _ = model.loss(ids[rows], mask[rows], seg, labels[examples], rng=noise_rng)
             if not np.isfinite(batch_loss.item()):
                 raise T.DivergenceError(f"loss diverged (NaN/Inf) at round {epoch + 1}")
             T.backward(batch_loss)

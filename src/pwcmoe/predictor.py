@@ -6,8 +6,8 @@ Architecture: linear projection to a reduced width, a stack of post-norm
 transformer encoder blocks (multi-head self-attention + feedforward, residual
 connections, layer norm), and a scalar scoring head normalized by softmax
 over the sequence. No positional encoding: importance is content-based, and
-the model stays permutation-equivariant by construction. Training packs each
-minibatch into one token matrix (`ImportancePredictor.predict_batch`).
+the model stays permutation-equivariant by construction. Training and
+scoring run on packed token matrices (`ImportancePredictor.predict_batch`).
 """
 
 from __future__ import annotations
@@ -19,7 +19,7 @@ import numpy as np
 
 from . import tensor as T
 from .checkpoint import MAGIC_PREDICTOR, load_params, save_params
-from .moe import pack
+from .moe import batches, pack
 from .rng import RngStream
 from .tensor import Tensor
 
@@ -43,20 +43,6 @@ class PredictorConfig:
             raise ValueError(
                 f"heads ({self.heads}) must divide proj_dim ({self.proj_dim})"
             )
-
-
-@dataclass
-class ImportanceRecord:
-    embeddings: np.ndarray  # (L, d) token embeddings
-    target: np.ndarray      # (L,) ground-truth aggregation weights
-
-    def __post_init__(self):
-        self.embeddings = np.asarray(self.embeddings, dtype=np.float64)
-        self.target = np.asarray(self.target, dtype=np.float64).reshape(-1)
-        if self.embeddings.shape[0] != self.target.shape[0]:
-            raise ValueError("embeddings/target length mismatch")
-        if self.target.min() < 0 or abs(self.target.sum() - 1.0) > 1e-6:
-            raise ValueError("target is not a distribution")
 
 
 class ImportancePredictor(T.Module):
@@ -95,15 +81,14 @@ class ImportancePredictor(T.Module):
                 params[f"block{i}.{k}"] = v
         return params
 
-    def predict_batch(self, embeddings: list) -> Tensor:
-        """The one predictor forward. Packs the sequences (each an (L_i, d)
-        array) into one (N, d) matrix with a segment id per token; attention
-        and the scoring softmax stay within each sequence (sequence packing
-        without cross-contamination). Returns the importance column (N, 1);
-        each sequence's rows sum to 1."""
-        n = len(embeddings)
-        seg = np.repeat(np.arange(n), [len(e) for e in embeddings])
-        h = T.matmul(Tensor(np.concatenate(embeddings)), self.w_in) + self.b_in
+    def predict_batch(self, x: np.ndarray, seg: np.ndarray) -> Tensor:
+        """The one predictor forward, over sequences packed into one (N, d)
+        matrix with each row's sequence in `seg`, as `pack` numbers them;
+        attention and the scoring softmax stay within each sequence (sequence
+        packing without cross-contamination). Returns the importance column
+        (N, 1); each sequence's rows sum to 1."""
+        n = int(seg[-1]) + 1
+        h = T.matmul(Tensor(x), self.w_in) + self.b_in
         for blk in self.blocks:
             att = T.segment_attention(T.matmul(h, blk["wq"]), T.matmul(h, blk["wk"]),
                                       T.matmul(h, blk["wv"]), seg, n, self.config.heads)
@@ -117,7 +102,7 @@ class ImportancePredictor(T.Module):
 
     def predict(self, embeddings: np.ndarray) -> Tensor:
         """Importance distribution over one sequence; shape (L, 1), sums to 1."""
-        return self.predict_batch([embeddings])
+        return self.predict_batch(embeddings, np.zeros(len(embeddings), dtype=np.intp))
 
     def scores_np(self, embeddings: np.ndarray) -> np.ndarray:
         with T.no_grad():
@@ -126,9 +111,8 @@ class ImportancePredictor(T.Module):
 
 def kl_loss(alpha, alpha_hat: Tensor) -> Tensor:
     """KL(alpha || alpha_hat) in nats, with 0 ln 0 taken as 0."""
-    alpha = np.asarray(getattr(alpha, "data", alpha), dtype=np.float64).reshape(-1)
-    L = alpha.shape[0]
-    ah_flat = T.reshape(alpha_hat, (L, 1))
+    alpha = np.asarray(alpha, dtype=np.float64).reshape(-1)
+    ah_flat = T.reshape(alpha_hat, (alpha.size, 1))
     support = np.flatnonzero(alpha > 0)
     if np.any(ah_flat.data.reshape(-1)[support] <= 0):
         raise ValueError("alpha_hat has zero mass where alpha > 0")
@@ -138,27 +122,18 @@ def kl_loss(alpha, alpha_hat: Tensor) -> Tensor:
     return T.tsum(T.log(ah) * (-a)) + const
 
 
-def collect_dataset(model, data) -> list:
-    """(embedding, alpha) pairs from noise-free full-sequence forwards of a
-    trained classifier, `model.config.batch_size` sequences per forward."""
-    records = []
-    step = model.config.batch_size
-    _, _, _, offsets = pack(data)
+def collect_dataset(model, data) -> tuple:
+    """The distillation set of `data`, packed: (embedding table, token ids,
+    alpha, offsets), alpha being each token's aggregation weight under
+    noise-free forwards of a trained classifier, `model.config.batch_size`
+    sequences per forward. Minibatches gather their rows from the table: a
+    freed (N, d) copy would raise glibc's mmap threshold for the process."""
+    ids, mask, _, offsets = pack(data)
     with T.no_grad():
-        for start in range(0, len(data), step):
-            chunk = data[start:start + step]
-            res = model.forward_batch(chunk, mode="eval")
-            cuts = offsets[start + 1:start + len(chunk)] - offsets[start]
-            for emb, alpha in zip(np.split(res.h.data, cuts),
-                                  np.split(res.alpha.data.reshape(-1), cuts)):
-                records.append(ImportanceRecord(embeddings=emb, target=alpha))
-    return records
-
-
-def packed_kl(predictor: ImportancePredictor, records: list) -> Tensor:
-    """Summed KL of `records` under one packed forward."""
-    alpha_hat = predictor.predict_batch([r.embeddings for r in records])
-    return kl_loss(np.concatenate([r.target for r in records]), alpha_hat)
+        alpha = np.concatenate([
+            model.forward_batch(ids[rows], mask[rows], seg, mode="eval").alpha.data.reshape(-1)
+            for _, rows, seg in batches(offsets, model.config.batch_size)])
+    return model.embedding.data, ids, alpha, offsets
 
 
 @dataclass
@@ -168,13 +143,15 @@ class PredictorTrace:
 
 
 def train_predictor(
-    records: list,
+    dataset: tuple,
     config: PredictorConfig,
     seed: int,
     log=None,
 ) -> tuple:
     """Adam minibatch descent on mean KL; deterministic under a fixed seed."""
-    if not records:
+    table, ids, alpha, offsets = dataset
+    n = offsets.size - 1
+    if not n:
         raise ValueError("no training records")
     predictor = ImportancePredictor(config, RngStream(seed, "predictor"))
     params = predictor.parameters()
@@ -184,14 +161,13 @@ def train_predictor(
     step = 0
     shuffle_rng = RngStream(seed, "predictor/shuffle")
     trace = PredictorTrace()
-    n = len(records)
     for epoch in range(config.epochs):
         order = shuffle_rng.permutation(n)
         epoch_kl = []
-        for start in range(0, n, config.batch_size):
-            batch = [records[i] for i in order[start:start + config.batch_size]]
+        for examples, rows, seg in batches(offsets, config.batch_size, order):
             predictor.zero_grad()
-            loss = packed_kl(predictor, batch) * (1.0 / len(batch))
+            alpha_hat = predictor.predict_batch(table[ids[rows]], seg)
+            loss = kl_loss(alpha[rows], alpha_hat) * (1.0 / examples.size)
             if not np.isfinite(loss.item()):
                 raise T.DivergenceError(f"predictor loss diverged at epoch {epoch + 1}")
             T.backward(loss)

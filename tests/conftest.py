@@ -49,6 +49,20 @@ def fd_check():
     return finite_difference_check
 
 
+def pair_loss(model, pairs, **kwargs):
+    """`MoEModel.loss` over a list of (seq, label) pairs, packed by `moe.pack`."""
+    ids, mask, seg, _ = moe.pack(pairs)
+    return model.loss(ids, mask, seg, [label for _, label in pairs], **kwargs)
+
+
+def pack_rows(arrays) -> tuple:
+    """Per-sequence arrays packed as `moe.pack` packs sequences: their
+    concatenation, the sequence of each row, and the offsets."""
+    lengths = [len(a) for a in arrays]
+    return (np.concatenate(arrays), np.arange(len(arrays)).repeat(lengths),
+            np.array([0, *np.cumsum(lengths)]))
+
+
 def select_random(mask, budget: int, rng: RngStream) -> scheduler.OffloadDecision:
     """Uniform sample without replacement from the non-sensitive tokens: one
     uniform key per token from `rng`, the `budget` lowest-keyed
@@ -96,7 +110,9 @@ def reference_accuracy(model, data, decide):
     with T.no_grad():
         for s in range(0, len(pending), 256):
             batch = pending[s:s + 256]
-            res = model.forward_batch(batch, active=np.concatenate(actives[s:s + 256]))
+            ids, mask, seg, _ = moe.pack(batch)
+            res = model.forward_batch(ids, mask, seg,
+                                      active=np.concatenate(actives[s:s + 256]))
             labels = np.asarray([label for _, label in batch])
             correct += int(np.sum(res.logits.data.argmax(axis=1) == labels))
     return correct / len(data)

@@ -17,8 +17,8 @@ from pwcmoe.corpus import TokenSequence
 from pwcmoe.rng import RngStream
 from pwcmoe.tensor import Tensor
 
-from conftest import (finite_difference_check, group_usage_ratio, reference_random_means,
-                      reference_topk_accuracy, soft_expert_usage)
+from conftest import (finite_difference_check, group_usage_ratio, pair_loss,
+                      reference_random_means, reference_topk_accuracy, soft_expert_usage)
 
 SEED = 0
 
@@ -65,10 +65,10 @@ def control(bundle):
 def importance(bundle, trained):
     model, _ = trained
     spec = main_spec()
-    records = predictor.collect_dataset(model, bundle.train)
-    pred, trace = predictor.train_predictor(records, harness.predictor_config(spec),
+    dataset = predictor.collect_dataset(model, bundle.train)
+    pred, trace = predictor.train_predictor(dataset, harness.predictor_config(spec),
                                             spec.seed)
-    return pred, records, trace
+    return pred, dataset, trace
 
 
 def make_seq(ids, mask):
@@ -85,7 +85,7 @@ def test_criterion_01_gradient_integrity():
     seq = make_seq([2, 5, 7], [1, 0, 0])
 
     def moe_loss():
-        loss, _ = model.loss([(seq, 1)], mode="soft")
+        loss, _ = pair_loss(model, [(seq, 1)], mode="soft")
         return loss
 
     worst_moe = finite_difference_check(moe_loss, model.parameters(), tol=1e-3)

@@ -318,9 +318,9 @@ class TestTopkCurve:
         sizes, single = [], []
         predict_batch = ImportancePredictor.predict_batch
 
-        def counting(self, embeddings):
-            sizes.append(len(embeddings))
-            return predict_batch(self, embeddings)
+        def counting(self, x, seg):
+            sizes.append(int(seg[-1]) + 1)
+            return predict_batch(self, x, seg)
 
         monkeypatch.setattr(ImportancePredictor, "predict_batch", counting)
         monkeypatch.setattr(ImportancePredictor, "scores_np",
@@ -362,8 +362,8 @@ class TiedScores:
     def scores_np(self, embeddings):
         return embeddings[:, 0].copy()
 
-    def predict_batch(self, embeddings):
-        return Tensor(np.concatenate(embeddings)[:, :1])
+    def predict_batch(self, x, seg):
+        return Tensor(x[:, :1])
 
 
 @pytest.fixture(scope="module")
@@ -520,7 +520,7 @@ class TestCli:
 
     @pytest.mark.parametrize("edit", ["drop-config-field", "drop-array", "extra-array",
                                       "cut-array", "unreadable-field", "zero-size",
-                                      "oversized-array"])
+                                      "oversized-array", "config-not-utf8"])
     def test_eval_on_mismatched_checkpoint_exits_1(self, tmp_path, capsys, edit):
         cfg = tmp_path / "tiny.cfg"
         cfg.write_text(TINY_CONFIG_TEXT)
@@ -548,6 +548,9 @@ class TestCli:
             arrays["w_o"] = arrays.pop("w_o")
             message = ("truncated: array 'w_o' of shape (2147483648, 8) needs 68719476736 "
                        "bytes, found 128")
+        elif edit == "config-not-utf8":
+            message = ("config block is not UTF-8: 'utf-8' codec can't decode byte 0xff "
+                       "in position 0: invalid start byte")
         else:
             arrays["w_o"] = arrays["w_o"][:-1]
             message = "array 'w_o' has shape (7, 4), the model needs (8, 4)"
@@ -555,6 +558,10 @@ class TestCli:
         if edit == "oversized-array":
             raw = bytearray(open(path, "rb").read())
             raw[-136:-128] = struct.pack("<2I", 2**31, 8)
+            open(path, "wb").write(bytes(raw))
+        if edit == "config-not-utf8":
+            raw = bytearray(open(path, "rb").read())
+            raw[12] = 0xff  # after magic, version and config length
             open(path, "wb").write(bytes(raw))
         capsys.readouterr()
         assert cli.run(["eval", "--config", str(cfg), "--out", out]) == 1
@@ -691,6 +698,24 @@ class TestCli:
         cfg = tmp_path / "bad.cfg"
         cfg.write_text(TINY_CONFIG_TEXT + line.format(tmp=tmp_path) + "\n")
         assert cli.run(["train", "--config", str(cfg), "--out", str(tmp_path)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and message in err
+        assert err.count("\n") == 1
+
+    @pytest.mark.parametrize("mode", ["channel-probe", "sweep-distance"])
+    @pytest.mark.parametrize("line, message", [
+        ("channel.t_ul_s = 1e300", "per uplink window does not fit in int64 "
+         "(uplink time 1e+300 s)"),
+        ("channel.bandwidth_hz = 1e-300", "token budget inf per uplink window"),
+        ("channel.tx_power_dbm = 1e300", "transmit power 1e+300 dBm or noise density"),
+        ("channel.noise_psd_dbm_hz = 1e300", "noise density 1e+300 dBm/Hz overflows in mW"),
+    ])
+    def test_bad_channel_value_exits_1_with_one_line(self, tmp_path, capsys, mode, line,
+                                                     message):
+        # both modes fail on the channel before they read a checkpoint
+        cfg = tmp_path / "bad.cfg"
+        cfg.write_text(TINY_CONFIG_TEXT + line + "\n")
+        assert cli.run([mode, "--config", str(cfg), "--out", str(tmp_path)]) == 1
         err = capsys.readouterr().err
         assert err.startswith("error: ") and message in err
         assert err.count("\n") == 1

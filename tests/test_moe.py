@@ -12,7 +12,7 @@ from pwcmoe.rng import RngStream
 from pwcmoe.scheduler import select_topk
 from pwcmoe.tensor import Tensor
 
-from conftest import group_usage_ratio, soft_expert_usage
+from conftest import group_usage_ratio, pair_loss, soft_expert_usage
 
 
 def make_seq(ids, mask):
@@ -237,7 +237,7 @@ class TestForward:
         seq = make_seq([2, 5, 7], [1, 0, 0])
 
         def loss_fn():
-            loss, _ = model.loss([(seq, 1)], mode="soft")
+            loss, _ = pair_loss(model, [(seq, 1)], mode="soft")
             return loss
 
         fd_check(loss_fn, model.parameters(), tol=1e-4)
@@ -245,7 +245,7 @@ class TestForward:
     def test_straight_through_gradients_flow_to_gate(self, tiny_model):
         seq = make_seq([2, 3, 4], [1, 0, 0])
         tiny_model.zero_grad()
-        loss, _ = tiny_model.loss([(seq, 0)], rng=RngStream(7, "g"))
+        loss, _ = pair_loss(tiny_model, [(seq, 0)], rng=RngStream(7, "g"))
         T.backward(loss)
         assert tiny_model.w_g.grad is not None
         assert np.any(tiny_model.w_g.grad != 0.0)
@@ -322,7 +322,7 @@ class TestExpertDispatch:
             if route is not None:
                 monkeypatch.setattr(model, "route_hard",
                                     lambda *a, **kw: route(model, *a, **kw))
-            loss, res = model.loss(batch, rng=RngStream(5, "g"))
+            loss, res = pair_loss(model, batch, rng=RngStream(5, "g"))
             T.backward(loss)
             grads = {k: p.grad for k, p in model.parameters().items()}
             runs.append((loss.data, res.h_prime.data, res.logits.data, grads))
@@ -357,6 +357,30 @@ class TestPack:
         for e, (seq, _) in enumerate(batch):
             assert ids[offsets[e]:offsets[e + 1]].tolist() == seq.ids
 
+    @settings(max_examples=100, deadline=None)
+    @given(st.data())
+    def test_batches_equal_pack_of_their_examples(self, data):
+        masks = data.draw(st.lists(st.lists(st.integers(0, 1), min_size=1, max_size=7),
+                                   min_size=1, max_size=12))
+        n = len(masks)
+        size = data.draw(st.integers(1, n + 2))
+        order = data.draw(st.none() | st.permutations(range(n)))
+        pairs, first = [], 2
+        for mask in masks:  # ids unique across the split
+            pairs.append((make_seq(range(first, first + len(mask)), mask), 0))
+            first += len(mask)
+        ids, mask, _, offsets = moe.pack(pairs)
+        taken, sizes = [], []
+        for examples, rows, seg in moe.batches(offsets, size, order):
+            want = moe.pack([pairs[e] for e in examples])
+            for got, expected in zip((ids[rows], mask[rows], seg), want):
+                assert got.dtype == expected.dtype and np.array_equal(got, expected)
+            taken.extend(examples.tolist())
+            sizes.append(examples.size)
+        assert taken == (list(range(n)) if order is None else list(order))
+        # only the last batch may be short
+        assert sizes == [size] * (n // size) + ([n % size] if n % size else [])
+
 
 class TestBatchForward:
     def test_matches_per_example_eval(self, tiny_model):
@@ -376,7 +400,8 @@ class TestBatchForward:
         batch = [(make_seq([2, 3, 4], [0, 0, 0]), 0),
                  (make_seq([5, 6], [1, 0]), 1)]
         actives = [np.array([True, False, True]), np.array([True, True])]
-        logits = tiny_model.forward_batch(batch, active=np.concatenate(actives)).logits
+        ids, mask, seg, _ = moe.pack(batch)
+        logits = tiny_model.forward_batch(ids, mask, seg, active=np.concatenate(actives)).logits
         for e, (seq, _) in enumerate(batch):
             single = tiny_model.forward(seq, active=actives[e], mode="eval")
             assert np.allclose(logits.data[e], single.logits.data.reshape(-1),
@@ -393,7 +418,8 @@ class TestBatchForward:
         tiny_model.agg_w.data = tiny_model.agg_w.data * (-1000.0 / score)
         batch = [(seq_a, 0), (seq_b, 0)]
         actives = [np.array([True, False]), np.array([True, True, True])]
-        logits = tiny_model.forward_batch(batch, active=np.concatenate(actives)).logits
+        ids, mask, seg, _ = moe.pack(batch)
+        logits = tiny_model.forward_batch(ids, mask, seg, active=np.concatenate(actives)).logits
         assert np.all(np.isfinite(logits.data))
         singles = [tiny_model.forward(seq, active=act, mode="eval")
                    for (seq, _), act in zip(batch, actives)]
@@ -488,6 +514,29 @@ class TestTraining:
             runs.append({k: p.data.copy() for k, p in model.parameters().items()})
         for k in runs[0]:
             assert np.array_equal(runs[0][k], runs[1][k])
+
+    def test_packs_each_split_once(self, monkeypatch):
+        """`train_model` packs the train split once and the test split once
+        per epoch (`evaluate`); `collect_dataset` packs its split once."""
+        from pwcmoe import predictor
+        rng = np.random.default_rng(2)
+        data = [(make_seq(rng.integers(2, 12, L), rng.integers(0, 2, L)), i % 2)
+                for i, L in enumerate(rng.integers(1, 6, 20))]
+        packed, pack = [], moe.pack
+
+        def counting(pairs):
+            packed.append(len(pairs))
+            return pack(pairs)
+
+        monkeypatch.setattr(moe, "pack", counting)
+        monkeypatch.setattr(predictor, "pack", counting)
+        cfg = tiny_config(num_classes=2, epochs=3, batch_size=6)
+        model = moe.MoEModel(cfg, RngStream(0, "m"))
+        moe.train_model(model, data, data[:7], seed=0)
+        assert packed == [20, 7, 7, 7]
+        packed.clear()
+        predictor.collect_dataset(model, data)
+        assert packed == [20]
 
 
 class TestCheckpoint:

@@ -9,6 +9,8 @@ from pwcmoe.corpus import TokenSequence
 from pwcmoe.rng import RngStream
 from pwcmoe.tensor import Tensor
 
+from conftest import pack_rows
+
 
 def make_seq(ids, mask):
     return TokenSequence(ids=list(ids), mask=list(mask),
@@ -33,16 +35,6 @@ class TestConfig:
     def test_at_least_one_layer(self):
         with pytest.raises(ValueError):
             predictor.PredictorConfig(d=8, proj_dim=8, layers=0)
-
-
-class TestRecord:
-    def test_target_must_be_distribution(self):
-        with pytest.raises(ValueError, match="distribution"):
-            predictor.ImportanceRecord(np.zeros((2, 4)), [0.9, 0.9])
-
-    def test_length_mismatch(self):
-        with pytest.raises(ValueError, match="mismatch"):
-            predictor.ImportanceRecord(np.zeros((2, 4)), [1.0])
 
 
 class TestKlLoss:
@@ -107,18 +99,19 @@ class TestPredict:
         p = predictor.ImportancePredictor(tiny_config(layers=2), RngStream(6, "p"))
         rng = np.random.default_rng(4)
         embs = [rng.normal(size=(L, 8)) for L in (5, 1, 3, 7, 2)]
-        packed = p.predict_batch(embs).data.reshape(-1)
-        cuts = np.cumsum([len(e) for e in embs])[:-1]
-        for emb, got in zip(embs, np.split(packed, cuts)):
+        x, seg, offsets = pack_rows(embs)
+        packed = p.predict_batch(x, seg).data.reshape(-1)
+        for e, emb in enumerate(embs):
+            got = packed[offsets[e]:offsets[e + 1]]
             assert np.allclose(got, p.scores_np(emb), rtol=0, atol=1e-12)
 
     def test_packed_records_do_not_mix(self):
         p = predictor.ImportancePredictor(tiny_config(layers=2), RngStream(7, "p"))
         rng = np.random.default_rng(5)
         embs = [rng.normal(size=(L, 8)) for L in (4, 2, 6)]
-        before = p.predict_batch(embs).data
+        before = p.predict_batch(*pack_rows(embs)[:2]).data
         embs[1] = rng.normal(size=(2, 8))
-        after = p.predict_batch(embs).data
+        after = p.predict_batch(*pack_rows(embs)[:2]).data
         keep = np.repeat([True, False, True], [4, 2, 6])
         assert np.array_equal(before[keep], after[keep])
         assert not np.array_equal(before[~keep], after[~keep])
@@ -144,17 +137,19 @@ class TestCollect:
         for L in (3, 2, 1, 5, 4, 2, 6):
             ids = rng.integers(2, 12, L)
             data.append((make_seq(ids, (ids % 2 == 0).astype(int)), 0))
-        records = predictor.collect_dataset(model, data)
-        assert len(records) == len(data)
-        for rec, (seq, _) in zip(records, data):
+        table, ids, alpha, offsets = predictor.collect_dataset(model, data)
+        assert table is model.embedding.data
+        assert offsets.tolist() == [0, *np.cumsum([seq.length for seq, _ in data])]
+        for e, (seq, _) in enumerate(data):
+            rows = slice(offsets[e], offsets[e + 1])
             res = model.forward(seq, mode="eval")
-            assert np.allclose(rec.target, res.alpha.data.reshape(-1), rtol=0, atol=1e-12)
-            assert np.allclose(rec.embeddings, res.h.data, rtol=0, atol=1e-12)
+            assert np.allclose(alpha[rows], res.alpha.data.reshape(-1), rtol=0, atol=1e-12)
+            assert ids[rows].tolist() == seq.ids
 
 
 def reference_kl_trace(records, config, seed):
-    """`train_predictor` with one forward and one KL per record: the mean KL
-    of every epoch."""
+    """`train_predictor` with one forward and one KL per (embeddings, target)
+    record: the mean KL of every epoch."""
     pred = predictor.ImportancePredictor(config, RngStream(seed, "predictor"))
     params = pred.parameters()
     m = {k: np.zeros_like(p.data) for k, p in params.items()}
@@ -169,8 +164,8 @@ def reference_kl_trace(records, config, seed):
             batch = [records[i] for i in order[start:start + config.batch_size]]
             pred.zero_grad()
             loss = None
-            for rec in batch:
-                kl = predictor.kl_loss(rec.target, pred.predict(rec.embeddings))
+            for emb, target in batch:
+                kl = predictor.kl_loss(target, pred.predict(emb))
                 loss = kl if loss is None else loss + kl
             loss = loss * (1.0 / len(batch))
             T.backward(loss)
@@ -186,8 +181,16 @@ def reference_kl_trace(records, config, seed):
     return trace
 
 
+def packed_dataset(records) -> tuple:
+    """(embeddings, target) records as a `collect_dataset` tuple, with the
+    table's rows stored in reverse so that a minibatch must gather by id."""
+    emb, _, offsets = pack_rows([emb for emb, _ in records])
+    ids = np.arange(len(emb))[::-1]
+    return emb[ids], ids, np.concatenate([target for _, target in records]), offsets
+
+
 class TestTraining:
-    def _records(self, n, L=4, d=8, seed=0):
+    def _dataset(self, n, L=4, d=8, seed=0):
         rng = np.random.default_rng(seed)
         # importance is a fixed linear function of the embedding: learnable
         w = rng.normal(size=d)
@@ -196,40 +199,41 @@ class TestTraining:
             emb = rng.normal(size=(L, d))
             s = emb @ w
             a = np.exp(s - s.max())
-            records.append(predictor.ImportanceRecord(emb, a / a.sum()))
-        return records
+            records.append((emb, a / a.sum()))
+        return packed_dataset(records)
 
     def test_matches_per_record_reference_trainer(self):
         rng = np.random.default_rng(7)
-        records = []
-        for L in rng.integers(1, 7, 10):
-            emb = rng.normal(size=(L, 8))
-            records.append(predictor.ImportanceRecord(emb, rng.dirichlet(np.ones(L))))
+        records = [(rng.normal(size=(L, 8)), rng.dirichlet(np.ones(L)))
+                   for L in rng.integers(1, 7, 10)]
         cfg = tiny_config(epochs=2, batch_size=4)
-        _, trace = predictor.train_predictor(records, cfg, seed=2)
+        _, trace = predictor.train_predictor(packed_dataset(records), cfg, seed=2)
         ref = reference_kl_trace(records, cfg, seed=2)
         assert np.allclose(trace.mean_kl, ref, rtol=1e-12, atol=0)
 
     def test_kl_decreases(self):
-        records = self._records(40)
-        p, trace = predictor.train_predictor(records, tiny_config(epochs=5), seed=0)
+        table, ids, alpha, offsets = dataset = self._dataset(40)
+        p, trace = predictor.train_predictor(dataset, tiny_config(epochs=5), seed=0)
         assert trace.mean_kl[-1] < trace.mean_kl[0]
+        seg = np.arange(offsets.size - 1).repeat(np.diff(offsets))
         with T.no_grad():
-            final = predictor.packed_kl(p, records).item() / len(records)
+            final = predictor.kl_loss(alpha, p.predict_batch(table[ids], seg)).item() / 40
         assert final < trace.mean_kl[0]
 
     def test_deterministic_replay(self):
-        records = self._records(12)
+        dataset = self._dataset(12)
         runs = []
         for _ in range(2):
-            p, _ = predictor.train_predictor(records, tiny_config(epochs=2), seed=3)
+            p, _ = predictor.train_predictor(dataset, tiny_config(epochs=2), seed=3)
             runs.append({k: v.data.copy() for k, v in p.parameters().items()})
         for k in runs[0]:
             assert np.array_equal(runs[0][k], runs[1][k])
 
     def test_empty_records_rejected(self):
+        empty = (np.zeros((0, 8)), np.zeros(0, dtype=np.intp), np.zeros(0),
+                 np.zeros(1, dtype=np.intp))
         with pytest.raises(ValueError, match="no training records"):
-            predictor.train_predictor([], tiny_config(), seed=0)
+            predictor.train_predictor(empty, tiny_config(), seed=0)
 
 
 class TestCheckpoint:

@@ -9,6 +9,8 @@ from pwcmoe import tensor as T
 from pwcmoe.rng import RngStream
 from pwcmoe.tensor import Tensor
 
+from conftest import pack_rows, pair_loss
+
 
 def rand(shape, seed=0, lo=-2.0, hi=2.0):
     rng = np.random.default_rng(seed)
@@ -466,7 +468,7 @@ class TestGradOwnership:
         batch = [(TokenSequence(ids=ids, mask=mask, tokens=[str(i) for i in ids]), label)
                  for ids, mask, label in (([1, 2, 3], [0, 1, 0], 0), ([4, 5], [0, 0], 2),
                                           ([6, 7, 8, 9], [1, 0, 0, 1], 1))]
-        loss, _ = model.loss(batch, rng=RngStream(1, "g"))
+        loss, _ = pair_loss(model, batch, rng=RngStream(1, "g"))
         self.assert_no_shared_grads(loss)
 
     def test_predictor_packed_kl(self):
@@ -474,6 +476,6 @@ class TestGradOwnership:
         config = predictor.PredictorConfig(d=8, proj_dim=8, layers=2, heads=2)
         pred = predictor.ImportancePredictor(config, RngStream(0, "p"))
         rng = np.random.default_rng(3)
-        records = [predictor.ImportanceRecord(rng.normal(size=(n, 8)), np.full(n, 1.0 / n))
-                   for n in (3, 1, 5)]
-        self.assert_no_shared_grads(predictor.packed_kl(pred, records))
+        x, seg, _ = pack_rows([rng.normal(size=(n, 8)) for n in (3, 1, 5)])
+        alpha = 1.0 / np.bincount(seg)[seg]
+        self.assert_no_shared_grads(predictor.kl_loss(alpha, pred.predict_batch(x, seg)))
