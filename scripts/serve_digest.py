@@ -10,6 +10,10 @@ program that print the same line serve every such request identically.
 `scripts/compare_runs.py` compares the files a run writes, which the
 one-request path does not touch.
 
+The seed is the one in the run's `run-manifest.txt`, and the config must be
+the one the run was built from: with the seed set, its hash must equal the
+manifest's `config_sha256`.
+
     python3 scripts/serve_digest.py --config configs/tiny.cfg --run runs/demo
 """
 
@@ -23,7 +27,7 @@ import numpy as np
 sys.path.insert(0, os.path.join(os.path.dirname(__file__), "..", "src"))
 
 from pwcmoe import harness, scheduler
-from pwcmoe.config import ExperimentSpec, load_config
+from pwcmoe.config import ExperimentSpec, config_hash, load_config
 
 # 0 leaves only the sensitive tokens (an error when there are none); 1000
 # uplinks every non-sensitive token
@@ -49,18 +53,30 @@ def digest(spec: ExperimentSpec, run_dir: str) -> tuple:
     return h.hexdigest(), len(bundle.test) * len(BUDGETS), failed
 
 
+def run_spec(config_path, run_dir: str) -> ExperimentSpec:
+    """The spec of `config_path` (default: the defaults) with the seed of the
+    run's manifest. A config that the run was not built from raises
+    ValueError naming both hashes."""
+    spec = load_config(config_path) if config_path else ExperimentSpec()
+    with open(os.path.join(run_dir, "run-manifest.txt"), encoding="utf-8") as fh:
+        manifest = dict(line.rstrip("\n").split(" = ", 1) for line in fh if " = " in line)
+    if not {"seed", "config_sha256"} <= manifest.keys():
+        raise ValueError(f"{run_dir}/run-manifest.txt lacks the seed or config_sha256")
+    spec.seed = int(manifest["seed"])
+    if config_hash(spec) != manifest["config_sha256"]:
+        raise ValueError(f"config hash {config_hash(spec)} differs from the run's "
+                         f"config_sha256 {manifest['config_sha256']}")
+    return spec
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__,
                                      formatter_class=argparse.RawDescriptionHelpFormatter)
     parser.add_argument("--config", default=None, help="key = value config file")
-    parser.add_argument("--seed", type=int, default=None, help="master seed of the run")
     parser.add_argument("--run", required=True, help="run directory with the checkpoints")
     args = parser.parse_args(argv)
     try:
-        spec = load_config(args.config) if args.config else ExperimentSpec()
-        if args.seed is not None:
-            spec.seed = args.seed
-        hexdigest, served, failed = digest(spec, args.run)
+        hexdigest, served, failed = digest(run_spec(args.config, args.run), args.run)
     except (OSError, ValueError) as exc:
         sys.stderr.write(f"error: {exc}\n")
         return 1

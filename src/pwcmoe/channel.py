@@ -34,6 +34,10 @@ class ChannelParams:
             raise ValueError("bandwidth, uplink time, and bits per token must be positive")
         if self.shadowing_std_db < 0:
             raise ValueError("shadowing std must be nonnegative")
+        # a +-10 sigma draw then keeps 10**(xi/10) a finite, nonzero float64
+        # (overflow starts at 3,083 dB)
+        if self.shadowing_std_db > 300:
+            raise ValueError(f"channel.shadowing_std_db {self.shadowing_std_db:g} dB exceeds 300 dB")
 
 
 @dataclass

@@ -4,13 +4,14 @@ Each token is embedded, scored by a gating network, and routed to exactly one
 expert. Sensitive tokens (privacy mask = 1) may only reach the first
 `num_privacy_experts` experts; non-sensitive tokens may only reach the rest.
 Expert outputs are softmax-weighted into a pooled representation which a
-linear head classifies. Training uses hard Gumbel-Softmax routing with a
-straight-through gradient and a group-wise load-balancing penalty.
+linear head classifies: `MoEModel.encode` is the per-token part and
+`MoEModel.classify` the per-example part. Training uses hard Gumbel-Softmax
+routing with a straight-through gradient and a group-wise load-balancing
+penalty.
 """
 
 from __future__ import annotations
 
-import functools
 import itertools
 import math
 from dataclasses import dataclass, field
@@ -116,11 +117,7 @@ def aggregate(rows: Tensor, w: Tensor, seg, n_segments: int) -> tuple:
 @dataclass
 class ForwardResult:
     logits: Tensor          # (B, C)
-    alpha: Tensor           # (n_active, 1) pooling weights of the active tokens
     z: Tensor               # (N, K) soft routing probabilities
-    routed: Tensor          # (N, K) straight-through one-hot (or z in soft mode)
-    assign: np.ndarray      # selected expert per token
-    h_prime: Tensor         # (N, d) expert outputs, zero on inactive tokens
 
     def probs(self) -> np.ndarray:
         """Class probabilities of a single-example result."""
@@ -176,60 +173,44 @@ class MoEModel(T.Module):
         the straight-through gate value."""
         return T.expert_dispatch(h, routed, assign, self.experts, active)
 
-    def route_soft(self, h: Tensor, z: Tensor) -> Tensor:
-        """Dense relaxation: every expert processes every token, outputs mixed
-        by z. Used for finite-difference gradient validation."""
-        L, K = z.shape
-        pieces = [T.expert_dispatch(h, z, np.full(L, j), self.experts) for j in range(K)]
-        return functools.reduce(T.add, pieces)
-
-    def forward_batch(self, ids, mask, seg, rng: Optional[RngStream] = None,
-                      mode: str = "eval", active=None) -> ForwardResult:
-        """The one MoE forward, over examples packed as by `pack` (token ids,
-        privacy mask and `seg`), so that expert dispatch and pooling run as a
-        few large numpy ops.
-
-        Modes: 'train' (Gumbel noise + hard straight-through), 'eval'
-        (noise-free, hard argmax), 'soft' (noise-free dense soft routing;
-        fully differentiable). `active` is a boolean mask over the packed
-        tokens: only the marked ones are processed and pooled (default: all
-        of them); an example with none raises ValueError.
-        """
+    def encode(self, ids, mask, rng: Optional[RngStream] = None, active=None) -> tuple:
+        """Embedding, privacy-isolated gate and hard routing of tokens packed
+        as by `pack` (token ids and privacy mask): (h_prime (N, d), z (N, K)).
+        Gumbel noise is added to the gate exactly when `rng` is given
+        (training); without it each token takes its argmax expert. `active`
+        is a boolean mask over the tokens: only the marked ones reach an
+        expert (default: all of them), and h_prime is zero on the rest."""
         c = self.config
-        n_tok = ids.shape[0]
         h = T.gather_rows(self.embedding, ids)
         g = gate_logits(h, self.w_g, self.b_g)
         g_prime = apply_privacy_isolation(g, mask, c.num_privacy_experts)
-        gamma = None  # eval and soft modes add no noise
-        if mode == "train":
-            if rng is None:
-                raise ValueError("train mode needs an RngStream for Gumbel noise")
-            gamma = rng.gumbel((n_tok, c.num_experts))
+        gamma = None if rng is None else rng.gumbel((ids.shape[0], c.num_experts))
         z = gumbel_softmax(g_prime, c.tau, gamma)
-        if mode == "soft":
-            routed = z
-            assign = g_prime.data.argmax(axis=1)
-            h_prime = self.route_soft(h, z)
-        else:
-            routed, assign = hard_select(z, g_prime, gamma)
-            h_prime = self.route_hard(h, routed, assign, active)
+        routed, assign = hard_select(z, g_prime, gamma)
+        return self.route_hard(h, routed, assign, active), z
 
-        pos = np.arange(n_tok) if active is None else np.flatnonzero(active)
-        # training pools every token: skip the gather and its scatter-add backward
-        rows = h_prime if pos.size == n_tok else T.gather_rows(h_prime, pos)
-        alpha, logits = self.classify(rows, seg[pos], int(seg[-1]) + 1)
-        return ForwardResult(logits=logits, alpha=alpha, z=z, routed=routed,
-                             assign=assign, h_prime=h_prime)
-
-    def classify(self, rows: Tensor, seg, n_examples: int) -> tuple:
+    def classify(self, rows: Tensor, seg, n_examples: int) -> Tensor:
         """Pool expert-output rows per example (`seg`), then layer norm and
-        the linear head. Returns (alpha, logits (n_examples, C))."""
-        alpha, pooled = aggregate(rows, self.agg_w, seg, n_examples)
+        the linear head: logits (n_examples, C)."""
+        _, pooled = aggregate(rows, self.agg_w, seg, n_examples)
         pooled = T.layer_norm(pooled, self.ln_gain, self.ln_bias)
-        return alpha, T.matmul(pooled, self.w_o) + self.b_o
+        return T.matmul(pooled, self.w_o) + self.b_o
+
+    def forward_batch(self, ids, mask, seg, rng: Optional[RngStream] = None,
+                      active=None) -> ForwardResult:
+        """The one MoE forward, `encode` then `classify`, over examples
+        packed as by `pack` (token ids, privacy mask and `seg`), so that
+        expert dispatch and pooling run as a few large numpy ops. Each
+        example pools its tokens marked in `active` (default: all of them);
+        an example with none raises ValueError."""
+        h_prime, z = self.encode(ids, mask, rng, active)
+        pos = np.arange(ids.shape[0]) if active is None else np.flatnonzero(active)
+        # training pools every token: skip the gather and its scatter-add backward
+        rows = h_prime if pos.size == ids.shape[0] else T.gather_rows(h_prime, pos)
+        return ForwardResult(logits=self.classify(rows, seg[pos], int(seg[-1]) + 1), z=z)
 
     def forward(self, seq: TokenSequence, rng: Optional[RngStream] = None,
-                active=None, mode: str = "eval") -> ForwardResult:
+                active=None) -> ForwardResult:
         """`forward_batch` on one sequence, pooled over the tokens that
         `active` indexes as numpy indexing would (default: every token)."""
         if active is not None:
@@ -237,15 +218,16 @@ class MoEModel(T.Module):
             flags[active] = True
             active = flags
         ids, mask, seg, _ = pack([(seq, None)])
-        return self.forward_batch(ids, mask, seg, rng=rng, mode=mode, active=active)
+        return self.forward_batch(ids, mask, seg, rng=rng, active=active)
 
-    def loss(self, ids, mask, seg, labels, rng: Optional[RngStream] = None, mode: str = "train"):
-        """(loss, ForwardResult) over packed examples and their labels: mean
-        cross-entropy plus `lambda_lb` times the load-balancing loss."""
-        res = self.forward_batch(ids, mask, seg, rng=rng, mode=mode)
+    def loss(self, ids, mask, seg, labels, rng: RngStream) -> Tensor:
+        """Training loss over packed examples and their labels, with Gumbel
+        noise from `rng`: mean cross-entropy plus `lambda_lb` times the
+        load-balancing loss."""
+        res = self.forward_batch(ids, mask, seg, rng=rng)
         task = T.tmean(T.cross_entropy_batch(res.logits, labels))
         lb = batch_load_balance(res.z, mask, seg, len(labels), self.config.num_privacy_experts)
-        return task + lb * self.config.lambda_lb, res
+        return task + lb * self.config.lambda_lb
 
 
 def pack(pairs) -> tuple:
@@ -275,11 +257,11 @@ def batches(offsets: np.ndarray, size: int, order=None):
         yield examples, first[seg] + within, seg
 
 
-def batch_forward(model: MoEModel, pairs, mode: str = "eval"):
+def batch_forward(model: MoEModel, pairs):
     """`MoEModel.forward_batch` over a list of (seq, label) pairs, as
     (logits (B, C), z (N_tok, K), mask array, seg ids)."""
     ids, mask, seg, _ = pack(pairs)
-    res = model.forward_batch(ids, mask, seg, mode=mode)
+    res = model.forward_batch(ids, mask, seg)
     return res.logits, res.z, mask, seg
 
 
@@ -322,11 +304,12 @@ EVAL_CHUNK = 256  # examples per eval forward; bounds the forward's working memo
 
 
 class MaskScorer:
-    """One eval forward over `data`, kept so that any choice of active tokens
-    can be scored by pooling alone.
+    """One noise-free `encode` of `data`, kept so that any choice of active
+    tokens can be scored by `classify` alone.
 
-    In eval mode a token's gate and expert output depend on that token only,
-    so an offload decision changes only which expert-output rows are pooled.
+    Without Gumbel noise a token's gate and expert output depend on that
+    token only, so an offload decision changes only which expert-output rows
+    are pooled.
     A choice is a boolean mask over the tokens of `data` in `pack`'s layout,
     whose arrays the scorer keeps.
     """
@@ -336,8 +319,8 @@ class MaskScorer:
         self.ids, mask, self.seg, self.offsets = pack(data)
         with T.no_grad():  # chunks in packed order: their rows concatenate to the split's
             self.h_prime = np.concatenate([
-                model.forward_batch(self.ids[rows], mask[rows], seg, mode="eval").h_prime.data
-                for _, rows, seg in batches(self.offsets, EVAL_CHUNK)])
+                model.encode(self.ids[rows], mask[rows])[0].data
+                for _, rows, _ in batches(self.offsets, EVAL_CHUNK)])
         self.sensitive = mask == 1
         self.labels = np.asarray([label for _, label in data])
 
@@ -350,7 +333,7 @@ class MaskScorer:
             return 0.0
         present, local = np.unique(self.seg[pos], return_inverse=True)
         with T.no_grad():
-            _, logits = self.model.classify(Tensor(self.h_prime[pos]), local, present.size)
+            logits = self.model.classify(Tensor(self.h_prime[pos]), local, present.size)
         correct = np.sum(logits.data.argmax(axis=1) == self.labels[present])
         return int(correct) / self.labels.size
 
@@ -386,7 +369,7 @@ def train_model(
         losses = []
         for examples, rows, seg in batches(offsets, c.batch_size, order):
             model.zero_grad()
-            batch_loss, _ = model.loss(ids[rows], mask[rows], seg, labels[examples], rng=noise_rng)
+            batch_loss = model.loss(ids[rows], mask[rows], seg, labels[examples], rng=noise_rng)
             if not np.isfinite(batch_loss.item()):
                 raise T.DivergenceError(f"loss diverged (NaN/Inf) at round {epoch + 1}")
             T.backward(batch_loss)

@@ -19,7 +19,7 @@ import numpy as np
 
 from . import tensor as T
 from .checkpoint import MAGIC_PREDICTOR, load_params, save_params
-from .moe import batches, pack
+from .moe import aggregate, batches, pack
 from .rng import RngStream
 from .tensor import Tensor
 
@@ -124,15 +124,16 @@ def kl_loss(alpha, alpha_hat: Tensor) -> Tensor:
 
 def collect_dataset(model, data) -> tuple:
     """The distillation set of `data`, packed: (embedding table, token ids,
-    alpha, offsets), alpha being each token's aggregation weight under
-    noise-free forwards of a trained classifier, `model.config.batch_size`
-    sequences per forward. Minibatches gather their rows from the table: a
+    alpha, offsets), alpha being each token's aggregation weight when a
+    trained classifier pools its noise-free `encode`, `model.config.batch_size`
+    sequences per encode. Minibatches gather their rows from the table: a
     freed (N, d) copy would raise glibc's mmap threshold for the process."""
     ids, mask, _, offsets = pack(data)
     with T.no_grad():
         alpha = np.concatenate([
-            model.forward_batch(ids[rows], mask[rows], seg, mode="eval").alpha.data.reshape(-1)
-            for _, rows, seg in batches(offsets, model.config.batch_size)])
+            aggregate(model.encode(ids[rows], mask[rows])[0], model.agg_w, seg,
+                      examples.size)[0].data.reshape(-1)
+            for examples, rows, seg in batches(offsets, model.config.batch_size)])
     return model.embedding.data, ids, alpha, offsets
 
 

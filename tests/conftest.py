@@ -1,3 +1,5 @@
+import functools
+
 import numpy as np
 import pytest
 
@@ -49,10 +51,44 @@ def fd_check():
     return finite_difference_check
 
 
-def pair_loss(model, pairs, **kwargs):
+def pair_loss(model, pairs, rng):
     """`MoEModel.loss` over a list of (seq, label) pairs, packed by `moe.pack`."""
     ids, mask, seg, _ = moe.pack(pairs)
-    return model.loss(ids, mask, seg, [label for _, label in pairs], **kwargs)
+    return model.loss(ids, mask, seg, [label for _, label in pairs], rng)
+
+
+def record_calls(monkeypatch, obj, name) -> list:
+    """Wrap `obj.name` so that each call appends (args, result) to the
+    returned list; on a class, args start with the instance."""
+    calls, method = [], getattr(obj, name)
+
+    def recording(*args):
+        out = method(*args)
+        calls.append((args, out))
+        return out
+
+    monkeypatch.setattr(obj, name, recording)
+    return calls
+
+
+def soft_loss(model, pairs):
+    """`MoEModel.loss` over (seq, label) pairs with dense soft routing in
+    place of hard routing: no Gumbel noise, every expert runs on every token
+    and the outputs are mixed by z. Differentiable everywhere, so the
+    reference that finite-difference checks run on."""
+    c = model.config
+    ids, mask, seg, _ = moe.pack(pairs)
+    h = T.gather_rows(model.embedding, ids)
+    g = moe.gate_logits(h, model.w_g, model.b_g)
+    g_prime = moe.apply_privacy_isolation(g, mask, c.num_privacy_experts)
+    z = moe.gumbel_softmax(g_prime, c.tau, None)
+    h_prime = functools.reduce(T.add, [
+        T.expert_dispatch(h, z, np.full(ids.size, j), model.experts)
+        for j in range(c.num_experts)])
+    logits = model.classify(h_prime, seg, len(pairs))
+    task = T.tmean(T.cross_entropy_batch(logits, [label for _, label in pairs]))
+    lb = moe.batch_load_balance(z, mask, seg, len(pairs), c.num_privacy_experts)
+    return task + lb * c.lambda_lb
 
 
 def pack_rows(arrays) -> tuple:
@@ -76,7 +112,7 @@ def soft_expert_usage(model, data) -> np.ndarray:
     load-balancing loss is defined on. Each group normalized to sum 1."""
     k_p = model.config.num_privacy_experts
     with T.no_grad():
-        _, z, mask, _ = moe.batch_forward(model, data, mode="eval")
+        _, z, mask, _ = moe.batch_forward(model, data)
     usage = np.zeros(model.config.num_experts)
     if np.any(mask == 1):
         up = z.data[mask == 1, :k_p].mean(axis=0)

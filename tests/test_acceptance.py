@@ -17,8 +17,8 @@ from pwcmoe.corpus import TokenSequence
 from pwcmoe.rng import RngStream
 from pwcmoe.tensor import Tensor
 
-from conftest import (finite_difference_check, group_usage_ratio, pair_loss,
-                      reference_random_means, reference_topk_accuracy, soft_expert_usage)
+from conftest import (finite_difference_check, group_usage_ratio, reference_random_means,
+                      reference_topk_accuracy, soft_expert_usage, soft_loss)
 
 SEED = 0
 
@@ -84,11 +84,8 @@ def test_criterion_01_gradient_integrity():
     model = moe.MoEModel(cfg, RngStream(1, "gradcheck"))
     seq = make_seq([2, 5, 7], [1, 0, 0])
 
-    def moe_loss():
-        loss, _ = pair_loss(model, [(seq, 1)], mode="soft")
-        return loss
-
-    worst_moe = finite_difference_check(moe_loss, model.parameters(), tol=1e-3)
+    worst_moe = finite_difference_check(lambda: soft_loss(model, [(seq, 1)]),
+                                        model.parameters(), tol=1e-3)
 
     # the hard straight-through path must agree exactly with the soft
     # probabilities in the backward pass

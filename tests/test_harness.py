@@ -210,8 +210,7 @@ class TestCollaborativeForward:
             decision = scheduler.select_topk(np.arange(seq.length), seq.mask,
                                              budget=max(1, len(ns) // 2))
             probs = harness.collaborative_forward(model, seq, decision)
-            res = model.forward(seq, active=moe.active_set(seq, decision),
-                                mode="eval")
+            res = model.forward(seq, active=moe.active_set(seq, decision))
             assert np.allclose(probs, res.probs(), atol=1e-12)
             checked += 1
         assert checked > 0
@@ -709,16 +708,20 @@ class TestCli:
         ("channel.bandwidth_hz = 1e-300", "token budget inf per uplink window"),
         ("channel.tx_power_dbm = 1e300", "transmit power 1e+300 dBm or noise density"),
         ("channel.noise_psd_dbm_hz = 1e300", "noise density 1e+300 dBm/Hz overflows in mW"),
+        ("channel.shadowing_std_db = 1e300", "channel.shadowing_std_db 1e+300 dB exceeds 300 dB"),
     ])
     def test_bad_channel_value_exits_1_with_one_line(self, tmp_path, capsys, mode, line,
                                                      message):
-        # both modes fail on the channel before they read a checkpoint
+        # both modes fail on the channel before they read a checkpoint, on
+        # every seed (the shadowing draw differs per seed)
         cfg = tmp_path / "bad.cfg"
         cfg.write_text(TINY_CONFIG_TEXT + line + "\n")
-        assert cli.run([mode, "--config", str(cfg), "--out", str(tmp_path)]) == 1
-        err = capsys.readouterr().err
-        assert err.startswith("error: ") and message in err
-        assert err.count("\n") == 1
+        for seed in ("1", "2", "3"):
+            assert cli.run([mode, "--config", str(cfg), "--out", str(tmp_path),
+                            "--seed", seed]) == 1
+            err = capsys.readouterr().err
+            assert err.startswith("error: ") and message in err
+            assert err.count("\n") == 1
 
     def test_pipeline_script_matches_staged_cli(self, tmp_path, capsys):
         cfg = os.path.join(ROOT, "configs", "tiny.cfg")
@@ -801,9 +804,46 @@ class TestServeDigest:
         assert serve_digest.digest(spec, str(tmp_path))[0] != first[0]
 
     def test_missing_run_exits_1(self, tmp_path, capsys):
-        assert load_script("serve_digest").main(["--run", str(tmp_path / "none")]) == 1
+        # no run directory, and a manifest without a seed
+        (tmp_path / "run-manifest.txt").write_text("checkpoint_format_version = 1\n")
+        for run in (str(tmp_path / "none"), str(tmp_path)):
+            assert load_script("serve_digest").main(["--run", run]) == 1
+            err = capsys.readouterr().err
+            assert err.startswith("error: ") and err.count("\n") == 1
+
+    @pytest.fixture(scope="class")
+    def seeded_run(self, tmp_path_factory):
+        """A run of TINY_CONFIG_TEXT (seed 7) trained with `--seed 2`."""
+        root = tmp_path_factory.mktemp("seeded")
+        cfg, out = str(root / "tiny.cfg"), str(root / "run")
+        (root / "tiny.cfg").write_text(TINY_CONFIG_TEXT)
+        for mode in ("train", "train-predictor"):
+            assert cli.run([mode, "--config", cfg, "--seed", "2", "--out", out]) == 0
+        return cfg, out
+
+    def test_takes_the_seed_of_the_run(self, seeded_run, capsys):
+        cfg, out = seeded_run
+        serve_digest = load_script("serve_digest")
+        capsys.readouterr()
+        assert serve_digest.main(["--config", cfg, "--run", out]) == 0
+        spec = config.load_config(cfg)
+        spec.seed = 2
+        hexdigest, served, failed = serve_digest.digest(spec, out)
+        assert capsys.readouterr().out == f"{hexdigest}  {served} requests, {failed} failed\n"
+
+    def test_config_the_run_was_not_built_from_exits_1(self, seeded_run, tmp_path, capsys):
+        cfg, out = seeded_run
+        other = tmp_path / "other.cfg"
+        other.write_text(TINY_CONFIG_TEXT + "model.tau = 0.5\n")
+        spec = config.load_config(str(other))
+        spec.seed = 2
+        capsys.readouterr()
+        assert load_script("serve_digest").main(["--config", str(other), "--run", out]) == 1
+        with open(os.path.join(out, "run-manifest.txt"), encoding="utf-8") as fh:
+            built = fh.readline().split(" = ")[1].strip()
         err = capsys.readouterr().err
-        assert err.startswith("error: ") and err.count("\n") == 1
+        assert err == (f"error: config hash {config.config_hash(spec)} differs from the "
+                       f"run's config_sha256 {built}\n")
 
 
 class TestDeterminism:

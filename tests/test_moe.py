@@ -12,7 +12,8 @@ from pwcmoe.rng import RngStream
 from pwcmoe.scheduler import select_topk
 from pwcmoe.tensor import Tensor
 
-from conftest import group_usage_ratio, pair_loss, soft_expert_usage
+from conftest import (group_usage_ratio, pair_loss, record_calls, soft_expert_usage,
+                      soft_loss)
 
 
 def make_seq(ids, mask):
@@ -90,14 +91,17 @@ class TestPrivacyIsolation:
         model = moe.MoEModel(tiny_config(), RngStream(1, "m"))
         rng = np.random.default_rng(0)
         seq = make_seq(rng.integers(0, 12, len(mask)), mask)
-        res = model.forward(seq, rng=RngStream(2, "g"), mode="train")
+        with pytest.MonkeyPatch.context() as mp:
+            routing = record_calls(mp, model, "route_hard")
+            res = model.forward(seq, rng=RngStream(2, "g"))
+        [((_, _, assign, _), _)] = routing
         k_p = model.config.num_privacy_experts
         for i, m in enumerate(mask):
             if m == 1:
-                assert res.assign[i] < k_p
+                assert assign[i] < k_p
                 assert np.all(res.z.data[i, k_p:] == 0.0)
             else:
-                assert res.assign[i] >= k_p
+                assert assign[i] >= k_p
                 assert np.all(res.z.data[i, :k_p] == 0.0)
 
 
@@ -133,12 +137,12 @@ class TestLoadBalance:
             if mask.all():
                 mask[0] = 0
             batch.append((make_seq(rng.integers(0, 12, L), mask), 0))
-        _, z, mask_all, seg = moe.batch_forward(model, batch, mode="eval")
+        _, z, mask_all, seg = moe.batch_forward(model, batch)
         lb = moe.batch_load_balance(z, mask_all, seg, len(batch),
                                     model.config.num_privacy_experts)
         per_example = []
         for seq, _ in batch:
-            res = model.forward(seq, mode="eval")
+            res = model.forward(seq)
             per_example.append(one_example_load_balance(
                 res.z.data, seq.mask, model.config.num_privacy_experts).item())
         assert lb.item() == pytest.approx(np.mean(per_example), rel=1e-10)
@@ -191,35 +195,37 @@ class TestAggregate:
 
 
 class TestForward:
-    def test_eval_deterministic(self, tiny_model):
+    def test_eval_deterministic(self, tiny_model, monkeypatch):
         seq = make_seq([2, 3, 4], [1, 0, 0])
-        a = tiny_model.forward(seq, mode="eval")
-        b = tiny_model.forward(seq, mode="eval")
+        routing = record_calls(monkeypatch, tiny_model, "route_hard")
+        a = tiny_model.forward(seq)
+        b = tiny_model.forward(seq)
         assert np.array_equal(a.logits.data, b.logits.data)
-        assert np.array_equal(a.assign, b.assign)
+        ((_, _, assign_a, _), _), ((_, _, assign_b, _), _) = routing
+        assert np.array_equal(assign_a, assign_b)
 
-    def test_train_mode_needs_rng(self, tiny_model):
-        with pytest.raises(ValueError, match="RngStream"):
-            tiny_model.forward(make_seq([2, 3], [0, 0]), mode="train")
-
-    def test_routed_rows_one_hot_in_eval(self, tiny_model):
-        res = tiny_model.forward(make_seq([2, 3, 4], [1, 0, 0]), mode="eval")
-        assert np.array_equal(res.routed.data.sum(axis=1), np.ones(3))
-        assert set(np.unique(res.routed.data)) <= {0.0, 1.0}
+    def test_routed_rows_one_hot_in_eval(self, tiny_model, monkeypatch):
+        routing = record_calls(monkeypatch, tiny_model, "route_hard")
+        tiny_model.forward(make_seq([2, 3, 4], [1, 0, 0]))
+        [((_, routed, _, _), _)] = routing
+        assert np.array_equal(routed.data.sum(axis=1), np.ones(3))
+        assert set(np.unique(routed.data)) <= {0.0, 1.0}
 
     def test_inactive_tokens_skip_experts(self, tiny_model):
-        seq = make_seq([2, 3, 4, 5], [0, 0, 0, 0])
-        res = tiny_model.forward(seq, active=[1, 3], mode="eval")
-        assert np.all(res.h_prime.data[[0, 2]] == 0.0)
-        assert np.any(res.h_prime.data[[1, 3]] != 0.0)
+        ids, mask, _, _ = moe.pack([(make_seq([2, 3, 4, 5], [0, 0, 0, 0]), 0)])
+        h_prime, _ = tiny_model.encode(ids, mask, active=np.array([False, True, False, True]))
+        assert np.all(h_prime.data[[0, 2]] == 0.0)
+        assert np.any(h_prime.data[[1, 3]] != 0.0)
 
     @pytest.mark.parametrize("rows", [[5, 1, 3, 1, -1], [6, 6, 5, 3, 1], [3, -4, 1, 5, 6, 1]])
-    def test_active_positions_follow_numpy_indexing(self, tiny_model, rows):
+    def test_active_positions_follow_numpy_indexing(self, tiny_model, rows, monkeypatch):
         # unsorted and repeated positions collapse; -1 is the last token
         seq = make_seq([2, 3, 4, 5, 6, 7, 8], [0, 1, 0, 0, 1, 0, 0])
+        routing = record_calls(monkeypatch, tiny_model, "route_hard")
         got = tiny_model.forward(seq, active=rows)
         want = tiny_model.forward(seq, active=np.unique(np.arange(7)[rows]))
-        assert np.array_equal(got.h_prime.data, want.h_prime.data)
+        (_, got_h_prime), (_, want_h_prime) = routing
+        assert np.array_equal(got_h_prime.data, want_h_prime.data)
         assert np.array_equal(got.logits.data, want.logits.data)
 
     def test_out_of_range_active_raises(self, tiny_model):
@@ -229,23 +235,19 @@ class TestForward:
                 tiny_model.forward(seq, active=active)
 
     def test_probs_normalized(self, tiny_model):
-        res = tiny_model.forward(make_seq([2, 3], [0, 1]), mode="eval")
+        res = tiny_model.forward(make_seq([2, 3], [0, 1]))
         assert res.probs().sum() == pytest.approx(1.0)
 
     def test_soft_mode_gradient_matches_finite_differences(self, fd_check):
         model = moe.MoEModel(tiny_config(), RngStream(3, "m"))
         seq = make_seq([2, 5, 7], [1, 0, 0])
 
-        def loss_fn():
-            loss, _ = pair_loss(model, [(seq, 1)], mode="soft")
-            return loss
-
-        fd_check(loss_fn, model.parameters(), tol=1e-4)
+        fd_check(lambda: soft_loss(model, [(seq, 1)]), model.parameters(), tol=1e-4)
 
     def test_straight_through_gradients_flow_to_gate(self, tiny_model):
         seq = make_seq([2, 3, 4], [1, 0, 0])
         tiny_model.zero_grad()
-        loss, _ = pair_loss(tiny_model, [(seq, 0)], rng=RngStream(7, "g"))
+        loss = pair_loss(tiny_model, [(seq, 0)], RngStream(7, "g"))
         T.backward(loss)
         assert tiny_model.w_g.grad is not None
         assert np.any(tiny_model.w_g.grad != 0.0)
@@ -322,10 +324,13 @@ class TestExpertDispatch:
             if route is not None:
                 monkeypatch.setattr(model, "route_hard",
                                     lambda *a, **kw: route(model, *a, **kw))
-            loss, res = pair_loss(model, batch, rng=RngStream(5, "g"))
+            routing = record_calls(monkeypatch, model, "route_hard")
+            heads = record_calls(monkeypatch, model, "classify")
+            loss = pair_loss(model, batch, RngStream(5, "g"))
             T.backward(loss)
             grads = {k: p.grad for k, p in model.parameters().items()}
-            runs.append((loss.data, res.h_prime.data, res.logits.data, grads))
+            [(_, h_prime)], [(_, logits)] = routing, heads
+            runs.append((loss.data, h_prime.data, logits.data, grads))
         (loss, h_prime, logits, grads), (ref_loss, ref_h_prime, ref_logits, ref_grads) = runs
         assert len(np.unique(np.concatenate([s.mask for s, _ in batch]))) == 2
         assert np.array_equal(h_prime, ref_h_prime)
@@ -390,9 +395,9 @@ class TestBatchForward:
             L = int(rng.integers(1, 7))
             mask = rng.integers(0, 2, L)
             batch.append((make_seq(rng.integers(0, 12, L), mask), int(rng.integers(0, 3))))
-        logits, _, _, _ = moe.batch_forward(tiny_model, batch, mode="eval")
+        logits, _, _, _ = moe.batch_forward(tiny_model, batch)
         for e, (seq, _) in enumerate(batch):
-            single = tiny_model.forward(seq, mode="eval")
+            single = tiny_model.forward(seq)
             assert np.allclose(logits.data[e], single.logits.data.reshape(-1),
                                atol=1e-10)
 
@@ -403,7 +408,7 @@ class TestBatchForward:
         ids, mask, seg, _ = moe.pack(batch)
         logits = tiny_model.forward_batch(ids, mask, seg, active=np.concatenate(actives)).logits
         for e, (seq, _) in enumerate(batch):
-            single = tiny_model.forward(seq, active=actives[e], mode="eval")
+            single = tiny_model.forward(seq, active=actives[e])
             assert np.allclose(logits.data[e], single.logits.data.reshape(-1),
                                atol=1e-10)
 
@@ -413,18 +418,17 @@ class TestBatchForward:
         # an inactive token must not enter the softmax (exp(0 + 1000)
         # overflows) nor spread NaN to example B in the same batch
         seq_a, seq_b = make_seq([2, 3], [0, 0]), make_seq([4, 5, 6], [1, 0, 0])
-        res = tiny_model.forward(seq_a, active=[0], mode="eval")
-        score = (res.h_prime.data[0] @ tiny_model.agg_w.data).item()
-        tiny_model.agg_w.data = tiny_model.agg_w.data * (-1000.0 / score)
         batch = [(seq_a, 0), (seq_b, 0)]
         actives = [np.array([True, False]), np.array([True, True, True])]
         ids, mask, seg, _ = moe.pack(batch)
+        h_prime, _ = tiny_model.encode(ids[:2], mask[:2], active=actives[0])
+        score = (h_prime.data[0] @ tiny_model.agg_w.data).item()
+        tiny_model.agg_w.data = tiny_model.agg_w.data * (-1000.0 / score)
+        assert (h_prime.data[0] @ tiny_model.agg_w.data).item() == pytest.approx(-1000.0)
         logits = tiny_model.forward_batch(ids, mask, seg, active=np.concatenate(actives)).logits
         assert np.all(np.isfinite(logits.data))
-        singles = [tiny_model.forward(seq, active=act, mode="eval")
+        singles = [tiny_model.forward(seq, active=act)
                    for (seq, _), act in zip(batch, actives)]
-        assert (singles[0].h_prime.data[0] @ tiny_model.agg_w.data).item() == \
-            pytest.approx(-1000.0)
         for e, single in enumerate(singles):
             assert np.allclose(logits.data[e], single.logits.data.reshape(-1),
                                atol=1e-10)
@@ -538,6 +542,28 @@ class TestTraining:
         predictor.collect_dataset(model, data)
         assert packed == [20]
 
+    def test_encodes_once_and_classifies_only_what_is_read(self, monkeypatch):
+        """`MaskScorer` and `collect_dataset` encode without the layer norm
+        and the head; `MaskScorer.accuracy` runs them once per call that
+        has an active token, and not at all otherwise."""
+        from pwcmoe import predictor
+        rng = np.random.default_rng(3)
+        data = [(make_seq(rng.integers(2, 12, L), rng.integers(0, 2, L)), i % 3)
+                for i, L in enumerate(rng.integers(1, 6, 20))]
+        model = moe.MoEModel(tiny_config(batch_size=6), RngStream(0, "m"))
+        classified = record_calls(monkeypatch, moe.MoEModel, "classify")
+        encoded = record_calls(monkeypatch, moe.MoEModel, "encode")
+        scorer = moe.MaskScorer(model, data)
+        predictor.collect_dataset(model, data)
+        assert len(classified) == 0 and len(encoded) == 1 + 4
+        n_tok = scorer.seg.size
+        actives = [np.ones(n_tok, dtype=bool), np.zeros(n_tok, dtype=bool),
+                   scorer.sensitive, np.arange(n_tok) % 2 == 0]
+        for active in actives:
+            scorer.accuracy(active)
+        assert len(classified) == sum(bool(a.any()) for a in actives) == 3
+        assert len(encoded) == 5
+
 
 class TestCheckpoint:
     def test_roundtrip_preserves_predictions(self, tiny_model, tmp_path):
@@ -546,8 +572,8 @@ class TestCheckpoint:
         loaded = moe.load_model(path)
         assert loaded.config == tiny_model.config
         seq = make_seq([2, 3, 4], [1, 0, 0])
-        a = tiny_model.forward(seq, mode="eval").logits.data
-        b = loaded.forward(seq, mode="eval").logits.data
+        a = tiny_model.forward(seq).logits.data
+        b = loaded.forward(seq).logits.data
         # arrays round through float32 storage
         assert np.allclose(a, b, atol=1e-4)
 

@@ -142,8 +142,10 @@ class TestCollect:
         assert offsets.tolist() == [0, *np.cumsum([seq.length for seq, _ in data])]
         for e, (seq, _) in enumerate(data):
             rows = slice(offsets[e], offsets[e + 1])
-            res = model.forward(seq, mode="eval")
-            assert np.allclose(alpha[rows], res.alpha.data.reshape(-1), rtol=0, atol=1e-12)
+            seq_ids, seq_mask, seg, _ = moe.pack([(seq, 0)])
+            h_prime, _ = model.encode(seq_ids, seq_mask)
+            want, _ = moe.aggregate(h_prime, model.agg_w, seg, 1)
+            assert np.allclose(alpha[rows], want.data.reshape(-1), rtol=0, atol=1e-12)
             assert ids[rows].tolist() == seq.ids
 
 
