@@ -40,15 +40,27 @@ class ChannelParams:
             raise ValueError(f"channel.shadowing_std_db {self.shadowing_std_db:g} dB exceeds 300 dB")
 
 
-@dataclass
+@dataclass(slots=True)
 class ChannelRealization:
-    pl_db: float
+    """One uplink draw under `params`: shadowing psi, fading chi and the
+    token budget m_ul they give. Path loss, SNR and rate follow from these
+    and are recomputed when read, so a kept draw holds two floats."""
+    params: ChannelParams
     psi: float
     chi: float
-    h_ul: float
-    snr: float
-    rate_bps: float
     m_ul: int
+
+    @property
+    def pl_db(self) -> float:
+        return path_loss_db(self.params.f_c_ghz, self.params.d_c_m)
+
+    @property
+    def snr(self) -> float:
+        return float(uplink_chain(self.params, self.pl_db, self.psi, self.chi)[1])
+
+    @property
+    def rate_bps(self) -> float:
+        return float(uplink_chain(self.params, self.pl_db, self.psi, self.chi)[2])
 
 
 def path_loss_db(f_c_ghz: float, d_c_m: float) -> float:
@@ -129,9 +141,7 @@ def draw_realization(
     else:
         psi = float(sample_shadowing(rng, params.shadowing_std_db))
         chi = float(sample_fading(rng))
-    h, s, r, m = uplink_chain(params, pl, psi, chi)
-    return ChannelRealization(pl_db=pl, psi=psi, chi=chi, h_ul=float(h),
-                              snr=float(s), rate_bps=float(r), m_ul=m)
+    return ChannelRealization(params, psi, chi, uplink_chain(params, pl, psi, chi)[3])
 
 
 def budget_samples(params: ChannelParams, rng: RngStream, n: int) -> np.ndarray:

@@ -109,7 +109,7 @@ def load_params(path: str, magic: bytes, model_cls, config_cls):
     """Rebuild a model written by `save_params`: the config is cast field by
     field from the dataclass field types and checked before the model is
     built, then every parameter is loaded; the file holds exactly the model's
-    parameters, each in its own shape."""
+    parameters, each in its own shape and finite."""
     cfg_raw, arrays = load_container(path, magic)
     values = {}
     for f in fields(config_cls):
@@ -139,5 +139,7 @@ def load_params(path: str, magic: bytes, model_cls, config_cls):
         if arrays[k].shape != p.data.shape:
             raise CheckpointError(f"{path}: array {k!r} has shape {arrays[k].shape}, "
                                   f"the model needs {p.data.shape}")
+        if not np.isfinite(arrays[k]).all():
+            raise CheckpointError(f"{path}: array {k!r} holds a NaN or infinite value")
         p.data = arrays[k]
     return model

@@ -20,8 +20,8 @@ from . import corpus
 from . import tensor as T
 from .checkpoint import FORMAT_VERSION
 from .config import ExperimentSpec, config_hash
-from .moe import (EVAL_CHUNK, MaskScorer, MoEConfig, MoEModel, active_set, batches,
-                  evaluate, load_model, save_model, train_model)
+from .moe import (MaskScorer, MoEConfig, MoEModel, active_set, batches, evaluate,
+                  load_model, save_model, train_model)
 from .predictor import (ImportancePredictor, PredictorConfig, collect_dataset,
                         load_predictor, save_predictor, train_predictor)
 from .rng import RngStream
@@ -136,6 +136,11 @@ def collaborative_forward(model: MoEModel, seq, decision) -> np.ndarray:
 
 
 # -- strategy evaluation ---------------------------------------------------
+
+# examples per packed predictor forward; bounds the attention's padded
+# (examples, heads, longest, longest) score arrays
+EVAL_CHUNK = 256
+
 
 def rank_tokens(scorer: MaskScorer, key: np.ndarray) -> np.ndarray:
     """Rank of each token within its example: non-sensitive tokens by

@@ -7,7 +7,8 @@ Expert outputs are softmax-weighted into a pooled representation which a
 linear head classifies: `MoEModel.encode` is the per-token part and
 `MoEModel.classify` the per-example part. Training uses hard Gumbel-Softmax
 routing with a straight-through gradient and a group-wise load-balancing
-penalty.
+penalty. Without the noise a token's expert output depends on its id and
+privacy flag alone, so inference gathers it from one table of every pair.
 """
 
 from __future__ import annotations
@@ -150,6 +151,7 @@ class MoEModel(T.Module):
         self.ln_bias = Tensor(np.zeros(d), requires_grad=True)
         self.w_o = self._p(r, (d, c.num_classes), 1.0 / math.sqrt(d))
         self.b_o = self._p(r, (c.num_classes,), 0.0)
+        self._table_key, self._table = (), None
 
     def parameters(self) -> dict:
         params = {
@@ -173,21 +175,55 @@ class MoEModel(T.Module):
         the straight-through gate value."""
         return T.expert_dispatch(h, routed, assign, self.experts, active)
 
-    def encode(self, ids, mask, rng: Optional[RngStream] = None, active=None) -> tuple:
-        """Embedding, privacy-isolated gate and hard routing of tokens packed
-        as by `pack` (token ids and privacy mask): (h_prime (N, d), z (N, K)).
-        Gumbel noise is added to the gate exactly when `rng` is given
-        (training); without it each token takes its argmax expert. `active`
-        is a boolean mask over the tokens: only the marked ones reach an
-        expert (default: all of them), and h_prime is zero on the rest."""
+    def _route(self, ids, mask, gamma: Optional[np.ndarray], active) -> tuple:
+        """Embedding, privacy-isolated gate, Gumbel softmax (noise `gamma`,
+        none when None), hard select and expert dispatch of the tokens:
+        (h_prime (N, d), z (N, K))."""
         c = self.config
         h = T.gather_rows(self.embedding, ids)
         g = gate_logits(h, self.w_g, self.b_g)
         g_prime = apply_privacy_isolation(g, mask, c.num_privacy_experts)
-        gamma = None if rng is None else rng.gumbel((ids.shape[0], c.num_experts))
         z = gumbel_softmax(g_prime, c.tau, gamma)
         routed, assign = hard_select(z, g_prime, gamma)
         return self.route_hard(h, routed, assign, active), z
+
+    def _token_table(self) -> tuple:
+        """The noise-free `_route` of every (token id, privacy flag) pair as
+        (h_prime (2V + 1, d), z (2V, K)), row `id + V * flag`; h_prime ends
+        in a zero row for inactive tokens. Rebuilt when an array it reads
+        has been replaced (parameters are never written in place)."""
+        arrays = tuple(p.data for p in (self.embedding, self.w_g, self.b_g,
+                                        *(v for e in self.experts for v in e.values())))
+        key = self._table_key
+        if len(key) != len(arrays) or any(a is not b for a, b in zip(key, arrays)):
+            V = self.config.vocab_size
+            with T.no_grad():
+                h_prime, z = self._route(np.tile(np.arange(V), 2), np.repeat([0, 1], V),
+                                         None, None)
+            self._table = (Tensor(np.vstack([h_prime.data, np.zeros((1, self.config.d))])),
+                           z)
+            self._table_key = arrays
+        return self._table
+
+    def encode(self, ids, mask, rng: Optional[RngStream] = None, active=None) -> tuple:
+        """Embedding, privacy-isolated gate and hard routing of tokens packed
+        as by `pack` (token ids and privacy mask): (h_prime (N, d), z (N, K)).
+        Gumbel noise is added to the gate exactly when `rng` is given
+        (training). Without it each token takes its argmax expert, so both
+        outputs depend on the token's (id, flag) alone and are gathered from
+        `_token_table`, without a gradient. `active` is a boolean mask over
+        the tokens: only the marked ones reach an expert (default: all of
+        them), and h_prime is zero on the rest."""
+        c = self.config
+        if rng is not None:
+            return self._route(ids, mask, rng.gumbel((ids.shape[0], c.num_experts)), active)
+        ids = np.asarray(ids, dtype=np.intp)
+        if ids.size and (ids.min() < 0 or ids.max() >= c.vocab_size):
+            raise IndexError(f"token id out of range: {ids} for {c.vocab_size} ids")
+        h_table, z_table = self._token_table()
+        rows = ids + c.vocab_size * (np.asarray(mask) == 1)
+        h_rows = rows if active is None else np.where(active, rows, 2 * c.vocab_size)
+        return T.gather_rows(h_table, h_rows), T.gather_rows(z_table, rows)
 
     def classify(self, rows: Tensor, seg, n_examples: int) -> Tensor:
         """Pool expert-output rows per example (`seg`), then layer norm and
@@ -300,9 +336,6 @@ def active_set(seq: TokenSequence, decision) -> np.ndarray:
     return active
 
 
-EVAL_CHUNK = 256  # examples per eval forward; bounds the forward's working memory
-
-
 class MaskScorer:
     """One noise-free `encode` of `data`, kept so that any choice of active
     tokens can be scored by `classify` alone.
@@ -317,10 +350,7 @@ class MaskScorer:
     def __init__(self, model: MoEModel, data):
         self.model = model
         self.ids, mask, self.seg, self.offsets = pack(data)
-        with T.no_grad():  # chunks in packed order: their rows concatenate to the split's
-            self.h_prime = np.concatenate([
-                model.encode(self.ids[rows], mask[rows])[0].data
-                for _, rows, _ in batches(self.offsets, EVAL_CHUNK)])
+        self.h_prime = model.encode(self.ids, mask)[0].data
         self.sensitive = mask == 1
         self.labels = np.asarray([label for _, label in data])
 

@@ -105,8 +105,10 @@ class ImportancePredictor(T.Module):
         return self.predict_batch(embeddings, np.zeros(len(embeddings), dtype=np.intp))
 
     def scores_np(self, embeddings: np.ndarray) -> np.ndarray:
+        """`predict` as a 1-D array that owns its values (no view that keeps
+        the (L, 1) result alive)."""
         with T.no_grad():
-            return self.predict(embeddings).data.reshape(-1)
+            return self.predict(embeddings).data[:, 0].copy()
 
 
 def kl_loss(alpha, alpha_hat: Tensor) -> Tensor:

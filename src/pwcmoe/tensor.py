@@ -87,7 +87,11 @@ class DivergenceError(RuntimeError):
 
 
 class Module:
-    """Base for the models: named trainable tensors and their initializer."""
+    """Base for the models: named trainable tensors and their initializer.
+
+    A parameter's array is replaced (`p.data = new`), never written in
+    place, so a result cached per array identity stays valid until one of
+    its arrays is replaced (`MoEModel`'s token table)."""
 
     def parameters(self) -> dict:
         raise NotImplementedError

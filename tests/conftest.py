@@ -17,7 +17,9 @@ def finite_difference_check(loss_fn, params, step=1e-5, tol=1e-4):
     """Compare analytic gradients of loss_fn() against central differences.
 
     loss_fn builds the loss from the current parameter values; params is a
-    dict name -> Tensor. Returns the worst relative error seen.
+    dict name -> Tensor. Each perturbed value is a new array assigned to
+    `p.data`, as training assigns its steps: parameters are never written in
+    place (`T.Module`). Returns the worst relative error seen.
     """
     for p in params.values():
         p.zero_grad()
@@ -26,18 +28,18 @@ def finite_difference_check(loss_fn, params, step=1e-5, tol=1e-4):
     worst = 0.0
     for name, p in params.items():
         grad = p.grad if p.grad is not None else np.zeros_like(p.data)
-        flat = p.data.reshape(-1)
+        orig = p.data
         gflat = grad.reshape(-1)
-        for i in range(flat.size):
-            orig = flat[i]
-            flat[i] = orig + step
-            with T.no_grad():
-                up = loss_fn().item()
-            flat[i] = orig - step
-            with T.no_grad():
-                down = loss_fn().item()
-            flat[i] = orig
-            fd = (up - down) / (2 * step)
+        for i in range(orig.size):
+            losses = []
+            for delta in (step, -step):
+                moved = orig.copy()
+                moved.reshape(-1)[i] += delta
+                p.data = moved
+                with T.no_grad():
+                    losses.append(loss_fn().item())
+            p.data = orig
+            fd = (losses[0] - losses[1]) / (2 * step)
             # floor keeps central-difference roundoff (~1e-11) from dominating
             # the comparison when the true gradient is essentially zero
             rel = abs(fd - gflat[i]) / max(abs(fd), abs(gflat[i]), 1e-6)

@@ -18,8 +18,8 @@ from pwcmoe.predictor import ImportancePredictor
 from pwcmoe.rng import RngStream
 from pwcmoe.tensor import Tensor
 
-from conftest import (positions, reference_random_means, reference_topk_accuracy,
-                      select_random)
+from conftest import (positions, record_calls, reference_random_means,
+                      reference_topk_accuracy, select_random)
 
 
 ROOT = os.path.join(os.path.dirname(__file__), "..")
@@ -232,6 +232,27 @@ class TestCollaborativeForward:
         with pytest.raises(ValueError, match="no tokens to aggregate"):
             harness.collaborative_forward(model, seq, scheduler.select_topk(
                 np.zeros(seq.length), seq.mask, budget=0))
+
+    def test_routes_once_per_parameter_version(self, trained, monkeypatch):
+        """A loaded model runs `route_hard` once, for its token table, over
+        two sweep scorers and 1,001 requests; a replaced parameter array
+        costs one more call."""
+        spec, out, bundle, _, predictor = trained
+        model = moe.load_model(os.path.join(out, spec.model.checkpoint))
+        routing = record_calls(monkeypatch, model, "route_hard")
+        for _ in range(2):
+            harness.MaskScorer(model, bundle.test)
+        served = []
+        for seq, _ in itertools.islice(itertools.cycle(bundle.test), 1001):
+            scores = predictor.scores_np(model.embedding.data[np.asarray(seq.ids)])
+            decision = scheduler.select_topk(scores, seq.mask, 2)
+            if decision.selected or 1 in seq.mask:
+                harness.collaborative_forward(model, seq, decision)
+                served.append((seq, decision))
+        assert len(served) > 900 and len(routing) == 1
+        model.w_g.data = model.w_g.data.copy()
+        harness.collaborative_forward(model, *served[0])
+        assert len(routing) == 2
 
     def test_rejects_out_of_range_index(self, trained):
         _, _, bundle, model, _ = trained
@@ -519,7 +540,8 @@ class TestCli:
 
     @pytest.mark.parametrize("edit", ["drop-config-field", "drop-array", "extra-array",
                                       "cut-array", "unreadable-field", "zero-size",
-                                      "oversized-array", "config-not-utf8"])
+                                      "oversized-array", "config-not-utf8", "nan-array",
+                                      "inf-array"])
     def test_eval_on_mismatched_checkpoint_exits_1(self, tmp_path, capsys, edit):
         cfg = tmp_path / "tiny.cfg"
         cfg.write_text(TINY_CONFIG_TEXT)
@@ -550,6 +572,12 @@ class TestCli:
         elif edit == "config-not-utf8":
             message = ("config block is not UTF-8: 'utf-8' codec can't decode byte 0xff "
                        "in position 0: invalid start byte")
+        elif edit == "nan-array":
+            arrays["w_o"][0, 0] = np.nan  # every logit would be NaN, every argmax 0
+            message = "array 'w_o' holds a NaN or infinite value"
+        elif edit == "inf-array":
+            arrays["embedding"][3, 1] = -np.inf
+            message = "array 'embedding' holds a NaN or infinite value"
         else:
             arrays["w_o"] = arrays["w_o"][:-1]
             message = "array 'w_o' has shape (7, 4), the model needs (8, 4)"
@@ -614,6 +642,22 @@ class TestCli:
         err = capsys.readouterr().err
         assert err.startswith("error: model.pwcm was built for vocabulary size ")
         assert err.count("\n") == 1
+
+    @pytest.mark.parametrize("value", [np.nan, np.inf])
+    def test_sweep_on_non_finite_predictor_exits_1(self, tmp_path, capsys, value):
+        cfg = tmp_path / "tiny.cfg"
+        cfg.write_text(TINY_CONFIG_TEXT)
+        out = str(tmp_path / "run")
+        assert cli.run(["train", "--config", str(cfg), "--out", out]) == 0
+        assert cli.run(["train-predictor", "--config", str(cfg), "--out", out]) == 0
+        path = os.path.join(out, "predictor.pwcp")
+        config, arrays = checkpoint.load_container(path, checkpoint.MAGIC_PREDICTOR)
+        arrays["w_score"][1, 0] = value
+        checkpoint.save_container(path, checkpoint.MAGIC_PREDICTOR, config, arrays)
+        capsys.readouterr()
+        assert cli.run(["sweep-budget", "--config", str(cfg), "--out", out]) == 1
+        err = capsys.readouterr().err
+        assert err == f"error: {path}: array 'w_score' holds a NaN or infinite value\n"
 
     def test_predictor_of_other_width_exits_1(self, tmp_path, capsys):
         cfg = tmp_path / "tiny.cfg"

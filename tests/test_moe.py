@@ -197,18 +197,22 @@ class TestAggregate:
 class TestForward:
     def test_eval_deterministic(self, tiny_model, monkeypatch):
         seq = make_seq([2, 3, 4], [1, 0, 0])
-        routing = record_calls(monkeypatch, tiny_model, "route_hard")
+        encoded = record_calls(monkeypatch, tiny_model, "encode")
         a = tiny_model.forward(seq)
         b = tiny_model.forward(seq)
         assert np.array_equal(a.logits.data, b.logits.data)
-        ((_, _, assign_a, _), _), ((_, _, assign_b, _), _) = routing
-        assert np.array_equal(assign_a, assign_b)
+        (_, (h_a, z_a)), (_, (h_b, z_b)) = encoded
+        assert h_a.data.tobytes() == h_b.data.tobytes()
+        assert z_a.data.tobytes() == z_b.data.tobytes()
 
     def test_routed_rows_one_hot_in_eval(self, tiny_model, monkeypatch):
+        # eval routes through the token table: one route_hard call over
+        # every (id, flag) pair
         routing = record_calls(monkeypatch, tiny_model, "route_hard")
         tiny_model.forward(make_seq([2, 3, 4], [1, 0, 0]))
         [((_, routed, _, _), _)] = routing
-        assert np.array_equal(routed.data.sum(axis=1), np.ones(3))
+        rows = 2 * tiny_model.config.vocab_size
+        assert np.array_equal(routed.data.sum(axis=1), np.ones(rows))
         assert set(np.unique(routed.data)) <= {0.0, 1.0}
 
     def test_inactive_tokens_skip_experts(self, tiny_model):
@@ -221,10 +225,10 @@ class TestForward:
     def test_active_positions_follow_numpy_indexing(self, tiny_model, rows, monkeypatch):
         # unsorted and repeated positions collapse; -1 is the last token
         seq = make_seq([2, 3, 4, 5, 6, 7, 8], [0, 1, 0, 0, 1, 0, 0])
-        routing = record_calls(monkeypatch, tiny_model, "route_hard")
+        encoded = record_calls(monkeypatch, tiny_model, "encode")
         got = tiny_model.forward(seq, active=rows)
         want = tiny_model.forward(seq, active=np.unique(np.arange(7)[rows]))
-        (_, got_h_prime), (_, want_h_prime) = routing
+        (_, (got_h_prime, _)), (_, (want_h_prime, _)) = encoded
         assert np.array_equal(got_h_prime.data, want_h_prime.data)
         assert np.array_equal(got.logits.data, want.logits.data)
 
@@ -348,6 +352,99 @@ class TestExpertDispatch:
         assert graph_nodes(out) == 1
         ref = composed_route_hard(tiny_model, h, routed, np.array([0, 1, 2, 1, 0]))
         assert graph_nodes(ref) > 20
+
+
+def random_split(rng, n, vocab_size=12, max_len=10) -> list:
+    """`n` (seq, label) pairs of random ids and privacy flags."""
+    data = []
+    for _ in range(n):
+        L = int(rng.integers(1, max_len + 1))
+        data.append((make_seq(rng.integers(0, vocab_size, L), rng.integers(0, 2, L)),
+                     int(rng.integers(0, 3))))
+    return data
+
+
+def fresh_copy(model) -> moe.MoEModel:
+    """A new model holding copies of `model`'s parameter values, so its
+    token table is built from scratch."""
+    clone = moe.MoEModel(model.config, RngStream(99, "other"))
+    for k, p in clone.parameters().items():
+        p.data = model.parameters()[k].data.copy()
+    return clone
+
+
+def encoded_bytes(model, ids, mask, active=None) -> tuple:
+    h_prime, z = model.encode(ids, mask, active=active)
+    return h_prime.data.tobytes(), z.data.tobytes()
+
+
+class TestTokenTable:
+    def test_rows_equal_per_token_routing_of_a_packed_split(self):
+        cfg = tiny_config(vocab_size=40, d=16, num_experts=5, num_privacy_experts=2,
+                          expert_hidden=24)
+        model = moe.MoEModel(cfg, RngStream(6, "m"))
+        rng = np.random.default_rng(6)
+        ids, mask, _, _ = moe.pack(random_split(rng, 120, vocab_size=40))
+        active = rng.random(ids.size) < 0.6
+        for act in (None, active):
+            with T.no_grad():
+                h_prime, z = model._route(ids, mask, None, act)
+            assert encoded_bytes(model, ids, mask, act) == (h_prime.data.tobytes(),
+                                                             z.data.tobytes())
+
+    @pytest.mark.parametrize("bad", [-1, 12, 10**6])
+    def test_out_of_range_ids_raise(self, tiny_model, bad):
+        # -1 with flag 1 would land on a valid table row
+        for flag in (0, 1):
+            with pytest.raises(IndexError):
+                tiny_model.encode(np.array([2, bad]), np.array([0, flag]))
+            with pytest.raises(IndexError):
+                tiny_model.forward(make_seq([2, bad], [flag, flag]))
+
+    def test_follows_a_training_epoch(self):
+        rng = np.random.default_rng(7)
+        data = random_split(rng, 24)
+        model = moe.MoEModel(tiny_config(epochs=1, batch_size=8), RngStream(7, "m"))
+        ids, mask, _, _ = moe.pack(data)
+        before = encoded_bytes(model, ids, mask)
+        moe.train_model(model, data, data[:6], seed=7)
+        after = encoded_bytes(model, ids, mask)
+        assert after != before
+        assert after == encoded_bytes(fresh_copy(model), ids, mask)
+
+    def test_follows_each_replaced_array(self, tiny_model):
+        ids, mask, _, _ = moe.pack(random_split(np.random.default_rng(8), 30))
+        read = ["embedding", "w_g", "b_g"] + [f"expert{j}.{k}" for j in range(3)
+                                              for k in ("w1", "b1", "w2", "b2")]
+        for name in read:
+            before = encoded_bytes(tiny_model, ids, mask)
+            p = tiny_model.parameters()[name]
+            p.data = p.data + 0.5
+            after = encoded_bytes(tiny_model, ids, mask)
+            assert after != before, name
+            assert after == encoded_bytes(fresh_copy(tiny_model), ids, mask), name
+
+    @settings(max_examples=40, deadline=None)
+    @given(st.data())
+    def test_one_example_encodes_as_its_packed_rows(self, data):
+        """Any split into batches: every example's rows from a noise-free
+        encode of it alone equal its rows in its batch, bit for bit."""
+        seed = data.draw(st.integers(0, 2**16))
+        model = moe.MoEModel(tiny_config(vocab_size=30, d=8, expert_hidden=16),
+                             RngStream(seed, "m"))
+        split = random_split(np.random.default_rng(seed), data.draw(st.integers(1, 30)),
+                             vocab_size=30)
+        ids, mask, _, offsets = moe.pack(split)
+        order = data.draw(st.permutations(range(len(split))))
+        size = data.draw(st.integers(1, len(split)))
+        for examples, rows, _ in moe.batches(offsets, size, order):
+            h_batch, z_batch = model.encode(ids[rows], mask[rows])
+            starts = np.cumsum([0, *(offsets[examples + 1] - offsets[examples])])
+            for e, lo, hi in zip(examples, starts[:-1], starts[1:]):
+                own = slice(offsets[e], offsets[e + 1])
+                h_one, z_one = model.encode(ids[own], mask[own])
+                assert h_one.data.tobytes() == h_batch.data[lo:hi].tobytes()
+                assert z_one.data.tobytes() == z_batch.data[lo:hi].tobytes()
 
 
 class TestPack:
