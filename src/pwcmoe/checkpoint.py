@@ -3,7 +3,8 @@ float32 arrays. Little-endian throughout.
 
 Layout:
   magic (4 bytes) | version u32 | config_len u32 | config utf-8 text
-  | n_arrays u32 | per array: name_len u16, name, rank u8, dims u32..., f32 values
+  | n_arrays u32 | per array: name_len u16, name, rank u8 (at most 2), dims u32...,
+  f32 values
 """
 
 from __future__ import annotations
@@ -50,7 +51,7 @@ def save_container(path: str, magic: bytes, config: dict, arrays: dict):
 
 def load_container(path: str, magic: bytes):
     """Read a container; rejects wrong magic, version mismatches and files
-    that end early."""
+    that end early or go on after the last array."""
     with open(path, "rb") as fh:
         size = os.fstat(fh.fileno()).st_size
 
@@ -88,10 +89,16 @@ def load_container(path: str, magic: bytes):
             (name_len,) = struct.unpack("<H", read(2, f"array {i} name length"))
             name = text(name_len, f"array {i} name")
             (rank,) = struct.unpack("<B", read(1, f"array {name!r} rank"))
+            if rank > 2:
+                raise CheckpointError(f"{path}: array {name!r} has rank {rank}, above 2")
             dims = struct.unpack(f"<{rank}I", read(4 * rank, f"array {name!r} shape"))
             # a Python int product: no shape overflows it
             buf = read(4 * math.prod(dims), f"array {name!r} of shape {dims}")
-            arrays[name] = np.frombuffer(buf, dtype="<f4").reshape(dims).astype(np.float64)
+            # quiet: widening a signalling NaN warns, and load_params rejects any NaN
+            with np.errstate(invalid="ignore"):
+                arrays[name] = np.frombuffer(buf, dtype="<f4").reshape(dims).astype(np.float64)
+        if fh.tell() != size:
+            raise CheckpointError(f"{path}: {size - fh.tell()} trailing bytes after the last array")
         return config, arrays
 
 
@@ -124,6 +131,8 @@ def load_params(path: str, magic: bytes, model_cls, config_cls):
         # every int but the epoch count is a size; a model may be saved untrained
         if kind == "int" and f.name != "epochs" and values[f.name] < 1:
             raise CheckpointError(f"{path}: config field {f.name!r} must be >= 1, got {raw}")
+        if kind == "float" and not math.isfinite(values[f.name]):
+            raise CheckpointError(f"{path}: config field {f.name!r} must be finite, got {raw}")
     try:
         config = config_cls(**values)
     except ValueError as exc:

@@ -25,6 +25,7 @@ from .moe import (MaskScorer, MoEConfig, MoEModel, active_set, batches, evaluate
 from .predictor import (ImportancePredictor, PredictorConfig, collect_dataset,
                         load_predictor, save_predictor, train_predictor)
 from .rng import RngStream
+from .scheduler import rank_tokens
 
 
 def _fmt(x) -> str:
@@ -142,16 +143,6 @@ def collaborative_forward(model: MoEModel, seq, decision) -> np.ndarray:
 EVAL_CHUNK = 256
 
 
-def rank_tokens(scorer: MaskScorer, key: np.ndarray) -> np.ndarray:
-    """Rank of each token within its example: non-sensitive tokens by
-    ascending `key`, equal keys to the lower position, then the sensitive
-    tokens."""
-    order = np.lexsort((key, scorer.sensitive, scorer.seg))
-    rank = np.empty(order.size, dtype=np.intp)
-    rank[order] = np.arange(order.size) - scorer.offsets[scorer.seg[order]]
-    return rank
-
-
 def topk_ranks(scorer: MaskScorer, predictor: ImportancePredictor) -> np.ndarray:
     """Predictor top-k as a rank array: highest score first. The test split
     is scored in packed forwards of `EVAL_CHUNK` examples."""
@@ -159,7 +150,7 @@ def topk_ranks(scorer: MaskScorer, predictor: ImportancePredictor) -> np.ndarray
     with T.no_grad():
         scores = np.concatenate([predictor.predict_batch(table[scorer.ids[rows]], seg).data
                                  for _, rows, seg in batches(scorer.offsets, EVAL_CHUNK)])
-    return rank_tokens(scorer, -scores.reshape(-1))
+    return rank_tokens(-scores.reshape(-1), scorer.sensitive, scorer.seg, scorer.offsets)
 
 
 def random_ranks(scorer: MaskScorer, trials: int, seed: int, label: str):
@@ -168,7 +159,8 @@ def random_ranks(scorer: MaskScorer, trials: int, seed: int, label: str):
     of a trial shares its keys and the subsets are nested; the `budget`
     lowest keys of an example are a uniform subset of that size."""
     for t in range(trials):
-        yield rank_tokens(scorer, RngStream(seed, f"{label}/trial{t}").uniform(scorer.seg.size))
+        key = RngStream(seed, f"{label}/trial{t}").uniform(scorer.seg.size)
+        yield rank_tokens(key, scorer.sensitive, scorer.seg, scorer.offsets)
 
 
 def accuracy_curve(scorer: MaskScorer, rank: np.ndarray, budgets) -> dict:

@@ -168,14 +168,12 @@ class MoEModel(T.Module):
 
     # -- forward ----------------------------------------------------------
 
-    def route_hard(self, h: Tensor, routed: Tensor, assign: np.ndarray,
-                   active=None) -> Tensor:
-        """Sparse dispatch: each expert runs only on its assigned tokens (only
-        on those marked in the boolean mask `active`, when given), scaled by
-        the straight-through gate value."""
-        return T.expert_dispatch(h, routed, assign, self.experts, active)
+    def route_hard(self, h: Tensor, routed: Tensor, assign: np.ndarray) -> Tensor:
+        """Sparse dispatch: each expert runs only on its assigned tokens,
+        scaled by the straight-through gate value."""
+        return T.expert_dispatch(h, routed, assign, self.experts)
 
-    def _route(self, ids, mask, gamma: Optional[np.ndarray], active) -> tuple:
+    def _route(self, ids, mask, gamma: Optional[np.ndarray]) -> tuple:
         """Embedding, privacy-isolated gate, Gumbel softmax (noise `gamma`,
         none when None), hard select and expert dispatch of the tokens:
         (h_prime (N, d), z (N, K))."""
@@ -185,45 +183,40 @@ class MoEModel(T.Module):
         g_prime = apply_privacy_isolation(g, mask, c.num_privacy_experts)
         z = gumbel_softmax(g_prime, c.tau, gamma)
         routed, assign = hard_select(z, g_prime, gamma)
-        return self.route_hard(h, routed, assign, active), z
+        return self.route_hard(h, routed, assign), z
 
     def _token_table(self) -> tuple:
         """The noise-free `_route` of every (token id, privacy flag) pair as
-        (h_prime (2V + 1, d), z (2V, K)), row `id + V * flag`; h_prime ends
-        in a zero row for inactive tokens. Rebuilt when an array it reads
-        has been replaced (parameters are never written in place)."""
+        (h_prime (2V, d), z (2V, K)), row `id + V * flag`. Rebuilt when an
+        array it reads has been replaced (parameters are never written in
+        place)."""
         arrays = tuple(p.data for p in (self.embedding, self.w_g, self.b_g,
                                         *(v for e in self.experts for v in e.values())))
         key = self._table_key
         if len(key) != len(arrays) or any(a is not b for a, b in zip(key, arrays)):
             V = self.config.vocab_size
             with T.no_grad():
-                h_prime, z = self._route(np.tile(np.arange(V), 2), np.repeat([0, 1], V),
-                                         None, None)
-            self._table = (Tensor(np.vstack([h_prime.data, np.zeros((1, self.config.d))])),
-                           z)
+                self._table = self._route(np.tile(np.arange(V), 2), np.repeat([0, 1], V), None)
             self._table_key = arrays
         return self._table
 
-    def encode(self, ids, mask, rng: Optional[RngStream] = None, active=None) -> tuple:
+    def encode(self, ids, mask, rng: Optional[RngStream] = None) -> tuple:
         """Embedding, privacy-isolated gate and hard routing of tokens packed
         as by `pack` (token ids and privacy mask): (h_prime (N, d), z (N, K)).
         Gumbel noise is added to the gate exactly when `rng` is given
         (training). Without it each token takes its argmax expert, so both
         outputs depend on the token's (id, flag) alone and are gathered from
-        `_token_table`, without a gradient. `active` is a boolean mask over
-        the tokens: only the marked ones reach an expert (default: all of
-        them), and h_prime is zero on the rest."""
+        `_token_table`, without a gradient. Every token reaches its expert;
+        which rows are pooled is `forward_batch`'s choice."""
         c = self.config
         if rng is not None:
-            return self._route(ids, mask, rng.gumbel((ids.shape[0], c.num_experts)), active)
+            return self._route(ids, mask, rng.gumbel((ids.shape[0], c.num_experts)))
         ids = np.asarray(ids, dtype=np.intp)
         if ids.size and (ids.min() < 0 or ids.max() >= c.vocab_size):
             raise IndexError(f"token id out of range: {ids} for {c.vocab_size} ids")
         h_table, z_table = self._token_table()
         rows = ids + c.vocab_size * (np.asarray(mask) == 1)
-        h_rows = rows if active is None else np.where(active, rows, 2 * c.vocab_size)
-        return T.gather_rows(h_table, h_rows), T.gather_rows(z_table, rows)
+        return T.gather_rows(h_table, rows), T.gather_rows(z_table, rows)
 
     def classify(self, rows: Tensor, seg, n_examples: int) -> Tensor:
         """Pool expert-output rows per example (`seg`), then layer norm and
@@ -239,22 +232,21 @@ class MoEModel(T.Module):
         expert dispatch and pooling run as a few large numpy ops. Each
         example pools its tokens marked in `active` (default: all of them);
         an example with none raises ValueError."""
-        h_prime, z = self.encode(ids, mask, rng, active)
+        h_prime, z = self.encode(ids, mask, rng)
         pos = np.arange(ids.shape[0]) if active is None else np.flatnonzero(active)
         # training pools every token: skip the gather and its scatter-add backward
         rows = h_prime if pos.size == ids.shape[0] else T.gather_rows(h_prime, pos)
         return ForwardResult(logits=self.classify(rows, seg[pos], int(seg[-1]) + 1), z=z)
 
-    def forward(self, seq: TokenSequence, rng: Optional[RngStream] = None,
-                active=None) -> ForwardResult:
-        """`forward_batch` on one sequence, pooled over the tokens that
-        `active` indexes as numpy indexing would (default: every token)."""
+    def forward(self, seq: TokenSequence, active=None) -> ForwardResult:
+        """Noise-free `forward_batch` on one sequence, pooled over the tokens
+        that `active` indexes as numpy indexing would (default: every token)."""
         if active is not None:
             flags = np.zeros(seq.length, dtype=bool)
             flags[active] = True
             active = flags
         ids, mask, seg, _ = pack([(seq, None)])
-        return self.forward_batch(ids, mask, seg, rng=rng, active=active)
+        return self.forward_batch(ids, mask, seg, active=active)
 
     def loss(self, ids, mask, seg, labels, rng: RngStream) -> Tensor:
         """Training loss over packed examples and their labels, with Gumbel

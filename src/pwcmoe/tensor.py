@@ -397,20 +397,18 @@ def segment_attention(q: Tensor, k: Tensor, v: Tensor, seg, n_segments: int,
     return _make(unpad(w @ V), (q, k, v), backward)
 
 
-def expert_dispatch(h: Tensor, routed: Tensor, assign, experts, active=None) -> Tensor:
+def expert_dispatch(h: Tensor, routed: Tensor, assign, experts) -> Tensor:
     """Top-1 expert MLPs over a token matrix (L, d) as one node. Expert j
-    runs relu(x w1 + b1) w2 + b2 on the rows i of `h` with assign[i] == j
-    (only rows marked in the boolean mask `active`, when given), and each
-    output row is scaled by its gate routed[i, j]; rows no expert ran on stay
-    zero. Experts own disjoint rows, so the gradients into `h` and `routed`
-    are written rather than accumulated, and an expert with no row gets no
-    gradient at all. `experts[j]` is a dict of the tensors w1, b1, w2, b2."""
+    runs relu(x w1 + b1) w2 + b2 on the rows i of `h` with assign[i] == j,
+    and each output row is scaled by its gate routed[i, j]. Experts own
+    disjoint rows, so the gradients into `h` and `routed` are written rather
+    than accumulated, and an expert with no row gets no gradient at all.
+    `experts[j]` is a dict of the tensors w1, b1, w2, b2."""
     assign = np.asarray(assign, dtype=np.intp)
-    pos = np.arange(assign.size) if active is None else np.flatnonzero(active)
     # rows grouped by expert, one block each; a stable sort keeps each
     # expert's rows ascending
-    order = pos[np.argsort(assign[pos], kind="stable")]
-    counts = np.bincount(assign[pos], minlength=len(experts))
+    order = np.argsort(assign, kind="stable")
+    counts = np.bincount(assign, minlength=len(experts))
     ends = counts.cumsum()
     x = h.data[order]
     gate = routed.data[order, assign[order]].reshape(-1, 1)

@@ -417,6 +417,15 @@ def rank_orders(scorer, rank):
     return orders
 
 
+def request_order(scores, mask) -> list:
+    """One request's non-sensitive positions in the B = 1 order of
+    `scheduler.rank_tokens`, highest score first."""
+    one = packing([mask])
+    rank = scheduler.rank_tokens(-np.asarray(scores), one.sensitive, one.seg, one.offsets)
+    [order] = rank_orders(one, rank)
+    return order
+
+
 def tied_scores(scorer, data):
     emb = scorer.model.embedding.data
     return [TiedScores().scores_np(emb[seq.ids]) for seq, _ in data]
@@ -427,7 +436,8 @@ class TestMasks:
         scores = tied_scores(tied, tied_data)
         assert any(len(set(s[np.asarray(seq.mask) == 0])) < seq.mask.count(0)
                    for s, (seq, _) in zip(scores, tied_data))
-        rank = harness.rank_tokens(tied, -np.concatenate(scores))
+        rank = scheduler.rank_tokens(-np.concatenate(scores), tied.sensitive, tied.seg,
+                                     tied.offsets)
         for k in range(max(seq.mask.count(0) for seq, _ in tied_data) + 3):
             decisions = [scheduler.select_topk(s, seq.mask, k)
                          for s, (seq, _) in zip(scores, tied_data)]
@@ -445,7 +455,7 @@ class TestMasks:
             assert np.array_equal(tied.sensitive | (rank < k), np.concatenate(actives))
 
     def test_packed_topk_ranks_equal_topk_order_under_ties(self, tied, tied_data):
-        expected = [scheduler.topk_order(s, seq.mask)
+        expected = [request_order(s, seq.mask)
                     for s, (seq, _) in zip(tied_scores(tied, tied_data), tied_data)]
         assert rank_orders(tied, harness.topk_ranks(tied, TiedScores())) == expected
 
@@ -456,7 +466,7 @@ class TestMasks:
         scorer = moe.MaskScorer(model, bundle.test)
         orders = rank_orders(scorer, harness.topk_ranks(scorer, predictor))
         for (seq, _), order in zip(bundle.test, orders):
-            expected = scheduler.topk_order(
+            expected = request_order(
                 predictor.scores_np(model.embedding.data[seq.ids]), seq.mask)
             assert [seq.ids[i] for i in order] == [seq.ids[i] for i in expected]
 
@@ -479,7 +489,8 @@ class TestMasks:
 
 
 def packing(masks):
-    """The three arrays `rank_tokens` reads, for examples with these masks."""
+    """The three arrays `scheduler.rank_tokens` reads, for examples with
+    these masks."""
     lengths = [len(m) for m in masks]
     return types.SimpleNamespace(sensitive=np.concatenate(masks) == 1,
                                  seg=np.repeat(np.arange(len(masks)), lengths),
@@ -495,7 +506,7 @@ class TestRankProperties:
         scorer = packing(masks)
         key = np.array([rnd.choice([0.0, 0.5, 1.0, rnd.random()])
                         for _ in range(scorer.seg.size)])
-        rank = harness.rank_tokens(scorer, key)
+        rank = scheduler.rank_tokens(key, scorer.sensitive, scorer.seg, scorer.offsets)
         n_ns = np.bincount(scorer.seg, weights=~scorer.sensitive, minlength=len(masks))
         assert np.all(rank[scorer.sensitive] >= n_ns[scorer.seg[scorer.sensitive]])
         previous = scorer.sensitive
@@ -506,6 +517,57 @@ class TestRankProperties:
                                               minlength=len(masks)), np.minimum(k, n_ns))
             assert np.all(active[previous])
             previous = active
+
+
+@pytest.fixture(scope="module")
+def model_file(trained, tmp_path_factory):
+    """The trained model checkpoint's bytes, and a path to write edits of it
+    to."""
+    spec, out = trained[:2]
+    with open(os.path.join(out, spec.model.checkpoint), "rb") as fh:
+        raw = fh.read()
+    return raw, str(tmp_path_factory.mktemp("edited") / spec.model.checkpoint)
+
+
+def parameter_shapes(c: moe.MoEConfig) -> dict:
+    """The shape of every parameter array of a model of config `c`."""
+    shapes = {"embedding": (c.vocab_size, c.d), "w_g": (c.d, c.num_experts),
+              "b_g": (c.num_experts,), "agg_w": (c.d, 1), "ln_gain": (c.d,),
+              "ln_bias": (c.d,), "w_o": (c.d, c.num_classes), "b_o": (c.num_classes,)}
+    for j in range(c.num_experts):
+        shapes.update({f"expert{j}.w1": (c.d, c.expert_hidden), f"expert{j}.b1": (c.expert_hidden,),
+                       f"expert{j}.w2": (c.expert_hidden, c.d), f"expert{j}.b2": (c.d,)})
+    return shapes
+
+
+class TestCheckpointEdits:
+    @settings(max_examples=200, deadline=None)
+    @given(st.data())
+    def test_edited_model_loads_whole_or_raises_checkpoint_error(self, model_file, data):
+        """A cut, an appended tail of 1-64 bytes or one XORed byte: the file
+        loads as a model whose arrays are finite and shaped as its config
+        says, or raises CheckpointError; a cut or a tail never loads. One
+        edit cannot make a config size exceed 99, and declared array sizes
+        are checked against the file before they are read."""
+        raw, path = model_file
+        edit = data.draw(st.sampled_from(["cut", "tail", "xor"]))
+        if edit == "cut":
+            edited = raw[:data.draw(st.integers(0, len(raw) - 1))]
+        elif edit == "tail":
+            edited = raw + data.draw(st.binary(min_size=1, max_size=64))
+        else:
+            edited = bytearray(raw)
+            edited[data.draw(st.integers(0, len(raw) - 1))] ^= data.draw(st.integers(1, 255))
+        with open(path, "wb") as fh:
+            fh.write(edited)
+        try:
+            model = moe.load_model(path)
+        except checkpoint.CheckpointError:
+            return
+        assert edit == "xor"
+        params = model.parameters()
+        assert {k: p.data.shape for k, p in params.items()} == parameter_shapes(model.config)
+        assert all(np.isfinite(p.data).all() for p in params.values())
 
 
 class TestCli:
@@ -541,7 +603,8 @@ class TestCli:
     @pytest.mark.parametrize("edit", ["drop-config-field", "drop-array", "extra-array",
                                       "cut-array", "unreadable-field", "zero-size",
                                       "oversized-array", "config-not-utf8", "nan-array",
-                                      "inf-array"])
+                                      "inf-array", "signalling-nan-array", "trailing-bytes",
+                                      "nan-tau", "inf-lambda-lb", "rank-above-2"])
     def test_eval_on_mismatched_checkpoint_exits_1(self, tmp_path, capsys, edit):
         cfg = tmp_path / "tiny.cfg"
         cfg.write_text(TINY_CONFIG_TEXT)
@@ -578,6 +641,19 @@ class TestCli:
         elif edit == "inf-array":
             arrays["embedding"][3, 1] = -np.inf
             message = "array 'embedding' holds a NaN or infinite value"
+        elif edit == "rank-above-2":
+            arrays["w_o"] = arrays.pop("w_o")  # last, so its rank byte is raw[-137]
+            message = "array 'w_o' has rank 70, above 2"
+        elif edit == "signalling-nan-array":
+            message = "array 'expert3.b2' holds a NaN or infinite value"
+        elif edit == "trailing-bytes":
+            message = "7 trailing bytes after the last array"
+        elif edit == "nan-tau":
+            config["tau"] = "nan"  # every routing probability would be NaN
+            message = "config field 'tau' must be finite, got nan"
+        elif edit == "inf-lambda-lb":
+            config["lambda_lb"] = "inf"
+            message = "config field 'lambda_lb' must be finite, got inf"
         else:
             arrays["w_o"] = arrays["w_o"][:-1]
             message = "array 'w_o' has shape (7, 4), the model needs (8, 4)"
@@ -590,6 +666,18 @@ class TestCli:
             raw = bytearray(open(path, "rb").read())
             raw[12] = 0xff  # after magic, version and config length
             open(path, "wb").write(bytes(raw))
+        if edit == "rank-above-2":
+            # (8, 4) and 68 more zero dims: an empty array of 70 dimensions
+            raw = bytearray(open(path, "rb").read())
+            raw[-137] = 70
+            raw[-128:-128] = bytes(4 * 68)
+            open(path, "wb").write(bytes(raw))
+        if edit == "signalling-nan-array":
+            raw = bytearray(open(path, "rb").read())
+            raw[-4:] = struct.pack("<I", 0x7f800001)  # widening it to float64 warns
+            open(path, "wb").write(bytes(raw))
+        if edit == "trailing-bytes":
+            open(path, "ab").write(b"\x00" * 7)
         capsys.readouterr()
         assert cli.run(["eval", "--config", str(cfg), "--out", out]) == 1
         err = capsys.readouterr().err

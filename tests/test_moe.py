@@ -91,10 +91,11 @@ class TestPrivacyIsolation:
         model = moe.MoEModel(tiny_config(), RngStream(1, "m"))
         rng = np.random.default_rng(0)
         seq = make_seq(rng.integers(0, 12, len(mask)), mask)
+        ids, mask_arr, seg, _ = moe.pack([(seq, 0)])
         with pytest.MonkeyPatch.context() as mp:
             routing = record_calls(mp, model, "route_hard")
-            res = model.forward(seq, rng=RngStream(2, "g"))
-        [((_, _, assign, _), _)] = routing
+            res = model.forward_batch(ids, mask_arr, seg, rng=RngStream(2, "g"))
+        [((_, _, assign), _)] = routing
         k_p = model.config.num_privacy_experts
         for i, m in enumerate(mask):
             if m == 1:
@@ -210,26 +211,21 @@ class TestForward:
         # every (id, flag) pair
         routing = record_calls(monkeypatch, tiny_model, "route_hard")
         tiny_model.forward(make_seq([2, 3, 4], [1, 0, 0]))
-        [((_, routed, _, _), _)] = routing
+        [((_, routed, _), _)] = routing
         rows = 2 * tiny_model.config.vocab_size
         assert np.array_equal(routed.data.sum(axis=1), np.ones(rows))
         assert set(np.unique(routed.data)) <= {0.0, 1.0}
-
-    def test_inactive_tokens_skip_experts(self, tiny_model):
-        ids, mask, _, _ = moe.pack([(make_seq([2, 3, 4, 5], [0, 0, 0, 0]), 0)])
-        h_prime, _ = tiny_model.encode(ids, mask, active=np.array([False, True, False, True]))
-        assert np.all(h_prime.data[[0, 2]] == 0.0)
-        assert np.any(h_prime.data[[1, 3]] != 0.0)
 
     @pytest.mark.parametrize("rows", [[5, 1, 3, 1, -1], [6, 6, 5, 3, 1], [3, -4, 1, 5, 6, 1]])
     def test_active_positions_follow_numpy_indexing(self, tiny_model, rows, monkeypatch):
         # unsorted and repeated positions collapse; -1 is the last token
         seq = make_seq([2, 3, 4, 5, 6, 7, 8], [0, 1, 0, 0, 1, 0, 0])
-        encoded = record_calls(monkeypatch, tiny_model, "encode")
+        pooled = record_calls(monkeypatch, tiny_model, "classify")
         got = tiny_model.forward(seq, active=rows)
         want = tiny_model.forward(seq, active=np.unique(np.arange(7)[rows]))
-        (_, (got_h_prime, _)), (_, (want_h_prime, _)) = encoded
-        assert np.array_equal(got_h_prime.data, want_h_prime.data)
+        ((got_rows, got_seg, _), _), ((want_rows, want_seg, _), _) = pooled
+        assert np.array_equal(got_rows.data, want_rows.data)
+        assert np.array_equal(got_seg, want_seg)
         assert np.array_equal(got.logits.data, want.logits.data)
 
     def test_out_of_range_active_raises(self, tiny_model):
@@ -285,14 +281,13 @@ def scatter_rows(a: Tensor, idx, num_rows: int) -> Tensor:
     return T._make(data, (a,), backward)
 
 
-def composed_route_hard(model, h, routed, assign, active=None):
+def composed_route_hard(model, h, routed, assign):
     """Expert dispatch built from single autodiff ops, one gather, MLP,
     gate and scatter per expert: the reference for `T.expert_dispatch`."""
     L = h.shape[0]
-    keep = np.ones(L, dtype=bool) if active is None else active
     h_prime = None
-    for j in np.unique(assign[keep]):
-        idx = np.flatnonzero((assign == j) & keep)
+    for j in np.unique(assign):
+        idx = np.flatnonzero(assign == j)
         e = model.experts[j]
         x = T.gather_rows(h, idx)
         out = T.matmul(T.relu(T.matmul(x, e["w1"]) + e["b1"]), e["w2"]) + e["b2"]
@@ -373,8 +368,8 @@ def fresh_copy(model) -> moe.MoEModel:
     return clone
 
 
-def encoded_bytes(model, ids, mask, active=None) -> tuple:
-    h_prime, z = model.encode(ids, mask, active=active)
+def encoded_bytes(model, ids, mask) -> tuple:
+    h_prime, z = model.encode(ids, mask)
     return h_prime.data.tobytes(), z.data.tobytes()
 
 
@@ -385,12 +380,9 @@ class TestTokenTable:
         model = moe.MoEModel(cfg, RngStream(6, "m"))
         rng = np.random.default_rng(6)
         ids, mask, _, _ = moe.pack(random_split(rng, 120, vocab_size=40))
-        active = rng.random(ids.size) < 0.6
-        for act in (None, active):
-            with T.no_grad():
-                h_prime, z = model._route(ids, mask, None, act)
-            assert encoded_bytes(model, ids, mask, act) == (h_prime.data.tobytes(),
-                                                             z.data.tobytes())
+        with T.no_grad():
+            h_prime, z = model._route(ids, mask, None)
+        assert encoded_bytes(model, ids, mask) == (h_prime.data.tobytes(), z.data.tobytes())
 
     @pytest.mark.parametrize("bad", [-1, 12, 10**6])
     def test_out_of_range_ids_raise(self, tiny_model, bad):
@@ -518,7 +510,7 @@ class TestBatchForward:
         batch = [(seq_a, 0), (seq_b, 0)]
         actives = [np.array([True, False]), np.array([True, True, True])]
         ids, mask, seg, _ = moe.pack(batch)
-        h_prime, _ = tiny_model.encode(ids[:2], mask[:2], active=actives[0])
+        h_prime, _ = tiny_model.encode(ids[:2], mask[:2])
         score = (h_prime.data[0] @ tiny_model.agg_w.data).item()
         tiny_model.agg_w.data = tiny_model.agg_w.data * (-1000.0 / score)
         assert (h_prime.data[0] @ tiny_model.agg_w.data).item() == pytest.approx(-1000.0)

@@ -63,10 +63,11 @@ class TestSelectTopk:
         # few distinct values: many ties, and 0.0 against -0.0
         scores = [s for s, _ in pairs]
         mask = [m for _, m in pairs]
-        want = sorted((i for i, m in enumerate(mask) if m == 0), key=lambda i: (-scores[i], i))
-        got = sched.topk_order(np.asarray(scores), mask)
-        assert got == want
-        assert all(type(i) is int for i in got)
+        order = sorted((i for i, m in enumerate(mask) if m == 0), key=lambda i: (-scores[i], i))
+        for budget in range(len(pairs) + 2):
+            got = sched.select_topk(np.asarray(scores), mask, budget).selected
+            assert got == sorted(order[:budget])
+            assert all(type(i) is int for i in got)
 
     @given(st.lists(st.floats(-10, 10), min_size=6, max_size=6),
            st.integers(0, 6))

@@ -242,20 +242,6 @@ class TestExpertDispatch:
         assert all(p.grad is None for p in experts[1].values())
         assert all(p.grad is not None for j in (0, 2) for p in experts[j].values())
 
-    def test_rows_subset(self, fd_check):
-        h, routed, experts = dispatch_inputs()
-        assign = np.array([2, 0, 2, 1, 0, 2, 1])
-        rows = np.array([False, True, False, True, False, True, True])
-        out = T.expert_dispatch(h, routed, assign, experts, rows)
-        T.backward(T.tsum(out * rand((7, 3), 24)))
-        outside = [0, 2, 4]
-        assert np.all(out.data[outside] == 0.0)
-        assert np.all(h.grad[outside] == 0.0)
-        assert np.all(np.abs(out.data[[1, 3, 5, 6]]).sum(axis=1) > 0.0)
-        w = rand((7, 3), 25)
-        fd_check(lambda: T.tsum(T.expert_dispatch(h, routed, assign, experts, rows) * w),
-                 dispatch_params(h, routed, experts))
-
 
 class TestLayerNorm:
     def test_constant_input_maps_to_zero(self):
