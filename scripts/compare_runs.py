@@ -2,11 +2,13 @@
 """Compare two run directories file by file.
 
 Prints one line per file that differs or exists on one side only. For a
-checkpoint (.pwcm, .pwcp) the line names each array that differs and counts
-its differing values. For a CSV it counts the data lines that differ and
-shows the first few by their fields before the first one that differs (such
-as `3,random`), so the rows that moved can be told apart. Exits 0 only when both directories hold the same files
-with the same bytes, else 1.
+checkpoint (.pwcm, .pwcp) the line names each array that differs, counts
+its differing values and gives the largest absolute difference, so rounding
+noise can be told from a real change. For a CSV it counts the data lines
+that differ and shows the first few by their fields before the first one
+that differs (such as `3,random`), so the rows that moved can be told
+apart. Exits 0 only when both directories hold the same files with the
+same bytes, else 1.
 
     python3 scripts/compare_runs.py runs/a runs/b
 """
@@ -27,7 +29,8 @@ SHOWN_LINES = 3
 
 
 def checkpoint_diff(path_a: str, path_b: str, magic: bytes) -> str:
-    """Which arrays of two checkpoints differ, and in how many values."""
+    """Which arrays of two checkpoints differ, in how many values and by
+    how much at most."""
     try:
         cfg_a, arrays_a = load_container(path_a, magic)
         cfg_b, arrays_b = load_container(path_b, magic)
@@ -45,7 +48,7 @@ def checkpoint_diff(path_a: str, path_b: str, magic: bytes) -> str:
             n = int(np.count_nonzero(a != b))
             changed, total = changed + n, total + a.size
             if n:
-                parts.append(f"{name} {n}/{a.size}")
+                parts.append(f"{name} {n}/{a.size} (max |Δ| {np.max(np.abs(a - b)):.2g})")
     head = f"{changed} of {total} values differ"
     return f"{head}: {', '.join(parts)}" if parts else f"{head}; bytes differ"
 

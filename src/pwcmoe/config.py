@@ -183,7 +183,7 @@ def _check_ranges(spec: ExperimentSpec):
 
 def load_config(path: str) -> ExperimentSpec:
     try:
-        with open(path, encoding="utf-8") as fh:
+        with open(path, encoding="utf-8-sig") as fh:
             text = fh.read()
     except FileNotFoundError:
         raise ConfigError(f"config file not found: {path}")

@@ -118,13 +118,14 @@ def build_vocabulary(examples: list) -> Vocabulary:
 
 
 def load_csv(path: str, num_classes: Optional[int] = None) -> list:
-    """Read a `text,label` CSV; returns examples in file order.
+    """Read a UTF-8 `text,label` CSV, with or without a byte-order mark;
+    returns examples in file order.
 
     Labels must be integers in a contiguous range starting at 0 (checked
     against num_classes when given).
     """
     try:
-        with open(path, newline="", encoding="utf-8") as fh:
+        with open(path, newline="", encoding="utf-8-sig") as fh:
             content = fh.read()
     except UnicodeDecodeError as exc:
         raise ValueError(f"{path}: not UTF-8: {exc}") from None

@@ -3,12 +3,13 @@
 Each token is embedded, scored by a gating network, and routed to exactly one
 expert. Sensitive tokens (privacy mask = 1) may only reach the first
 `num_privacy_experts` experts; non-sensitive tokens may only reach the rest.
-Expert outputs are softmax-weighted into a pooled representation which a
-linear head classifies: `MoEModel.encode` is the per-token part and
+Expert outputs are pooled by the softmax of their scores against `agg_w`
+into a representation which a linear head classifies: `MoEModel.encode` is
+the per-token part (expert output, routing and pooling score) and
 `MoEModel.classify` the per-example part. Training uses hard Gumbel-Softmax
 routing with a straight-through gradient and a group-wise load-balancing
-penalty. Without the noise a token's expert output depends on its id and
-privacy flag alone, so inference gathers it from one table of every pair.
+penalty. Without the noise a token's per-token outputs depend on its id and
+privacy flag alone, so inference gathers them from one table of every pair.
 """
 
 from __future__ import annotations
@@ -100,21 +101,6 @@ def hard_select(z: Tensor, g_prime: Tensor, gamma: Optional[np.ndarray]):
     return T.straight_through(z, one_hot), assign
 
 
-def aggregate(rows: Tensor, w: Tensor, seg, n_segments: int) -> tuple:
-    """Softmax-weighted pooling of token rows within each segment (example).
-
-    `rows` holds only the tokens to pool and `seg` the segment of each row, so
-    a token that is not pooled never enters the softmax. Returns (alpha
-    (n, 1), pooled (n_segments, d)).
-    """
-    scores = T.matmul(rows, w)
-    try:
-        alpha = T.segment_softmax(scores, seg, n_segments)  # (n, 1)
-    except ValueError as exc:
-        raise ValueError("no tokens to aggregate") from exc
-    return alpha, T.segment_sum(alpha * rows, seg, n_segments)
-
-
 @dataclass
 class ForwardResult:
     logits: Tensor          # (B, C)
@@ -175,22 +161,23 @@ class MoEModel(T.Module):
 
     def _route(self, ids, mask, gamma: Optional[np.ndarray]) -> tuple:
         """Embedding, privacy-isolated gate, Gumbel softmax (noise `gamma`,
-        none when None), hard select and expert dispatch of the tokens:
-        (h_prime (N, d), z (N, K))."""
+        none when None), hard select and expert dispatch of the tokens, and
+        each token's pooling score: (h_prime (N, d), z (N, K), score (N, 1))."""
         c = self.config
         h = T.gather_rows(self.embedding, ids)
         g = gate_logits(h, self.w_g, self.b_g)
         g_prime = apply_privacy_isolation(g, mask, c.num_privacy_experts)
         z = gumbel_softmax(g_prime, c.tau, gamma)
         routed, assign = hard_select(z, g_prime, gamma)
-        return self.route_hard(h, routed, assign), z
+        h_prime = self.route_hard(h, routed, assign)
+        return h_prime, z, T.matmul(h_prime, self.agg_w)
 
     def _token_table(self) -> tuple:
         """The noise-free `_route` of every (token id, privacy flag) pair as
-        (h_prime (2V, d), z (2V, K)), row `id + V * flag`. Rebuilt when an
-        array it reads has been replaced (parameters are never written in
-        place)."""
-        arrays = tuple(p.data for p in (self.embedding, self.w_g, self.b_g,
+        (h_prime (2V, d), z (2V, K), score (2V, 1)), row `id + V * flag`.
+        Rebuilt when an array it reads has been replaced (parameters are
+        never written in place)."""
+        arrays = tuple(p.data for p in (self.embedding, self.w_g, self.b_g, self.agg_w,
                                         *(v for e in self.experts for v in e.values())))
         key = self._table_key
         if len(key) != len(arrays) or any(a is not b for a, b in zip(key, arrays)):
@@ -201,28 +188,35 @@ class MoEModel(T.Module):
         return self._table
 
     def encode(self, ids, mask, rng: Optional[RngStream] = None) -> tuple:
-        """Embedding, privacy-isolated gate and hard routing of tokens packed
-        as by `pack` (token ids and privacy mask): (h_prime (N, d), z (N, K)).
-        Gumbel noise is added to the gate exactly when `rng` is given
-        (training). Without it each token takes its argmax expert, so both
-        outputs depend on the token's (id, flag) alone and are gathered from
-        `_token_table`, without a gradient. Every token reaches its expert;
-        which rows are pooled is `forward_batch`'s choice."""
+        """Embedding, privacy-isolated gate, hard routing and pooling score of
+        tokens packed as by `pack` (token ids and privacy mask): (h_prime
+        (N, d), z (N, K), score (N, 1)). Gumbel noise is added to the gate
+        exactly when `rng` is given (training). Without it each token takes
+        its argmax expert, so all three outputs depend on the token's
+        (id, flag) alone and are read from `_token_table`, without a
+        gradient. Every token reaches its expert; which rows are pooled is
+        `forward_batch`'s choice."""
         c = self.config
         if rng is not None:
             return self._route(ids, mask, rng.gumbel((ids.shape[0], c.num_experts)))
         ids = np.asarray(ids, dtype=np.intp)
         if ids.size and (ids.min() < 0 or ids.max() >= c.vocab_size):
             raise IndexError(f"token id out of range: {ids} for {c.vocab_size} ids")
-        h_table, z_table = self._token_table()
         rows = ids + c.vocab_size * (np.asarray(mask) == 1)
-        return T.gather_rows(h_table, rows), T.gather_rows(z_table, rows)
+        return tuple(Tensor(t.data[rows]) for t in self._token_table())
 
-    def classify(self, rows: Tensor, seg, n_examples: int) -> Tensor:
-        """Pool expert-output rows per example (`seg`), then layer norm and
-        the linear head: logits (n_examples, C)."""
-        _, pooled = aggregate(rows, self.agg_w, seg, n_examples)
-        pooled = T.layer_norm(pooled, self.ln_gain, self.ln_bias)
+    def classify(self, rows: Tensor, score: Tensor, seg, n_examples: int) -> Tensor:
+        """Pool expert-output rows per example (`seg`), weighted by the
+        softmax of their pooling scores within the example, then layer norm
+        and the linear head: logits (n_examples, C). `rows` and `score` hold
+        only the tokens to pool, so a token that is not pooled never enters
+        the softmax; an example with none raises ValueError."""
+        try:
+            alpha = T.segment_softmax(score, seg, n_examples)  # (n, 1)
+        except ValueError as exc:
+            raise ValueError("no tokens to aggregate") from exc
+        pooled = T.layer_norm(T.segment_sum(alpha * rows, seg, n_examples),
+                              self.ln_gain, self.ln_bias)
         return T.matmul(pooled, self.w_o) + self.b_o
 
     def forward_batch(self, ids, mask, seg, rng: Optional[RngStream] = None,
@@ -232,11 +226,13 @@ class MoEModel(T.Module):
         expert dispatch and pooling run as a few large numpy ops. Each
         example pools its tokens marked in `active` (default: all of them);
         an example with none raises ValueError."""
-        h_prime, z = self.encode(ids, mask, rng)
+        h_prime, z, score = self.encode(ids, mask, rng)
         pos = np.arange(ids.shape[0]) if active is None else np.flatnonzero(active)
-        # training pools every token: skip the gather and its scatter-add backward
-        rows = h_prime if pos.size == ids.shape[0] else T.gather_rows(h_prime, pos)
-        return ForwardResult(logits=self.classify(rows, seg[pos], int(seg[-1]) + 1), z=z)
+        # training pools every token: skip the gathers and their scatter-add backward
+        if pos.size != ids.shape[0]:
+            h_prime, score = T.gather_rows(h_prime, pos), T.gather_rows(score, pos)
+        logits = self.classify(h_prime, score, seg[pos], int(seg[-1]) + 1)
+        return ForwardResult(logits=logits, z=z)
 
     def forward(self, seq: TokenSequence, active=None) -> ForwardResult:
         """Noise-free `forward_batch` on one sequence, pooled over the tokens
@@ -332,9 +328,9 @@ class MaskScorer:
     """One noise-free `encode` of `data`, kept so that any choice of active
     tokens can be scored by `classify` alone.
 
-    Without Gumbel noise a token's gate and expert output depend on that
-    token only, so an offload decision changes only which expert-output rows
-    are pooled.
+    Without Gumbel noise a token's gate, expert output and pooling score
+    depend on that token only, so an offload decision changes only which
+    rows are pooled.
     A choice is a boolean mask over the tokens of `data` in `pack`'s layout,
     whose arrays the scorer keeps.
     """
@@ -342,7 +338,8 @@ class MaskScorer:
     def __init__(self, model: MoEModel, data):
         self.model = model
         self.ids, mask, self.seg, self.offsets = pack(data)
-        self.h_prime = model.encode(self.ids, mask)[0].data
+        h_prime, _, score = model.encode(self.ids, mask)
+        self.h_prime, self.score = h_prime.data, score.data
         self.sensitive = mask == 1
         self.labels = np.asarray([label for _, label in data])
 
@@ -355,7 +352,8 @@ class MaskScorer:
             return 0.0
         present, local = np.unique(self.seg[pos], return_inverse=True)
         with T.no_grad():
-            logits = self.model.classify(Tensor(self.h_prime[pos]), local, present.size)
+            logits = self.model.classify(Tensor(self.h_prime[pos]), Tensor(self.score[pos]),
+                                         local, present.size)
         correct = np.sum(logits.data.argmax(axis=1) == self.labels[present])
         return int(correct) / self.labels.size
 

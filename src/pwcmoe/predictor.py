@@ -19,7 +19,7 @@ import numpy as np
 
 from . import tensor as T
 from .checkpoint import MAGIC_PREDICTOR, load_params, save_params
-from .moe import aggregate, batches, pack
+from .moe import batches, pack
 from .rng import RngStream
 from .tensor import Tensor
 
@@ -112,13 +112,13 @@ class ImportancePredictor(T.Module):
 
 
 def kl_loss(alpha, alpha_hat: Tensor) -> Tensor:
-    """KL(alpha || alpha_hat) in nats, with 0 ln 0 taken as 0."""
+    """KL(alpha || alpha_hat) in nats, with 0 ln 0 taken as 0; `alpha_hat`
+    is an (N, 1) column, as `predict_batch` returns."""
     alpha = np.asarray(alpha, dtype=np.float64).reshape(-1)
-    ah_flat = T.reshape(alpha_hat, (alpha.size, 1))
     support = np.flatnonzero(alpha > 0)
-    if np.any(ah_flat.data.reshape(-1)[support] <= 0):
+    if np.any(alpha_hat.data[support] <= 0):
         raise ValueError("alpha_hat has zero mass where alpha > 0")
-    ah = T.gather_rows(ah_flat, support)
+    ah = T.gather_rows(alpha_hat, support)
     a = alpha[support].reshape(-1, 1)
     const = float(np.sum(a * np.log(a)))
     return T.tsum(T.log(ah) * (-a)) + const
@@ -127,15 +127,16 @@ def kl_loss(alpha, alpha_hat: Tensor) -> Tensor:
 def collect_dataset(model, data) -> tuple:
     """The distillation set of `data`, packed: (embedding table, token ids,
     alpha, offsets), alpha being each token's aggregation weight when a
-    trained classifier pools its noise-free `encode`, `model.config.batch_size`
-    sequences per encode. Minibatches gather their rows from the table: a
-    freed (N, d) copy would raise glibc's mmap threshold for the process."""
-    ids, mask, _, offsets = pack(data)
+    trained classifier pools its noise-free `encode`: one segment softmax
+    over every token's pooling score. The scores are encoded
+    `model.config.batch_size` sequences at a time, which bounds memory and
+    leaves the values alone. Minibatches gather their rows from the table:
+    a freed (N, d) copy would raise glibc's mmap threshold for the process."""
+    ids, mask, seg, offsets = pack(data)
     with T.no_grad():
-        alpha = np.concatenate([
-            aggregate(model.encode(ids[rows], mask[rows])[0], model.agg_w, seg,
-                      examples.size)[0].data.reshape(-1)
-            for examples, rows, seg in batches(offsets, model.config.batch_size)])
+        score = np.concatenate([model.encode(ids[rows], mask[rows])[2].data
+                                for _, rows, _ in batches(offsets, model.config.batch_size)])
+        alpha = T.segment_softmax(Tensor(score), seg, offsets.size - 1).data.reshape(-1)
     return model.embedding.data, ids, alpha, offsets
 
 

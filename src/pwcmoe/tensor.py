@@ -62,7 +62,7 @@ class Tensor:
 
     def _accum_grad(self, g: np.ndarray):
         # the first `g` is kept: backwards hand on arrays no other tensor
-        # holds (`_unbroadcast`, `reshape` and `straight_through` copy theirs)
+        # holds (`_unbroadcast` and `straight_through` copy theirs)
         if self.grad is None:
             self.grad = g
         else:
@@ -206,16 +206,6 @@ def tsum(a: Tensor) -> Tensor:
 
 def tmean(a: Tensor) -> Tensor:
     return tsum(a) * (1.0 / a.data.size)
-
-
-def reshape(a: Tensor, shape) -> Tensor:
-    old = a.data.shape
-
-    def backward(g):
-        if a.requires_grad:
-            a._accum_grad(g.reshape(old).copy())
-
-    return _make(a.data.reshape(shape), (a,), backward)
 
 
 # -- indexing ops ----------------------------------------------------------

@@ -87,7 +87,7 @@ def soft_loss(model, pairs):
     h_prime = functools.reduce(T.add, [
         T.expert_dispatch(h, z, np.full(ids.size, j), model.experts)
         for j in range(c.num_experts)])
-    logits = model.classify(h_prime, seg, len(pairs))
+    logits = model.classify(h_prime, T.matmul(h_prime, model.agg_w), seg, len(pairs))
     task = T.tmean(T.cross_entropy_batch(logits, [label for _, label in pairs]))
     lb = moe.batch_load_balance(z, mask, seg, len(pairs), c.num_privacy_experts)
     return task + lb * c.lambda_lb

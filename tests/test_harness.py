@@ -1,3 +1,4 @@
+import codecs
 import collections
 import dataclasses
 import importlib.util
@@ -109,6 +110,12 @@ class TestConfig:
         b.model.tau = 0.5
         assert config.config_hash(a) != config.config_hash(b)
 
+    def test_byte_order_mark_is_not_part_of_the_first_key(self, tmp_path):
+        path = tmp_path / "bom.cfg"
+        path.write_text("\ufeffseed = 3\nmodel.d = 8\n", encoding="utf-8")
+        spec = config.load_config(str(path))
+        assert (spec.seed, spec.model.d) == (3, 8)
+
     def test_bits_per_token_derived_from_d(self):
         assert config.ChannelSpec().params(64).bits_per_token == 64 * 16
         assert config.ChannelSpec(bits_per_token=300).params(64).bits_per_token == 300
@@ -172,6 +179,23 @@ class TestPrepareData:
         assert bundle.vocab.id_to_token == vocab.id_to_token and bundle.num_classes == 2
         self.assert_same(bundle.train, self.per_text(train, vocab, 5))
         self.assert_same(bundle.test, self.per_text(test, vocab, 5))
+
+    def test_csv_with_byte_order_mark_reads_as_without(self, tmp_path):
+        spec = tiny_spec()
+        spec.data.source = "csv"
+        spec.data.csv_train = str(tmp_path / "train.csv")
+        spec.data.csv_test = str(tmp_path / "test.csv")
+        bundles = []
+        for bom in ("", "\ufeff"):
+            (tmp_path / "train.csv").write_text(bom + "text,label\nalpha beta,0\ngamma,1\n",
+                                                encoding="utf-8")
+            (tmp_path / "test.csv").write_text(bom + "text,label\nbeta gamma,1\n",
+                                               encoding="utf-8")
+            bundles.append(harness.prepare_data(spec))
+        plain, marked = bundles
+        assert marked.vocab.id_to_token == plain.vocab.id_to_token
+        self.assert_same(marked.train, plain.train)
+        self.assert_same(marked.test, plain.test)
 
     def test_synthetic_bundle_equals_tokenize_and_mask_privacy(self):
         spec = tiny_spec(seed=4)
@@ -683,17 +707,19 @@ class TestCli:
         err = capsys.readouterr().err
         assert err == f"error: {path}: {message}\n"
 
-    @pytest.mark.parametrize("case", ["config-not-utf8", "csv-not-utf8", "config-is-directory",
+    @pytest.mark.parametrize("case", ["config-not-utf8", "csv-not-utf8", "config-bom-not-utf8",
+                                      "csv-bom-not-utf8", "config-is-directory",
                                       "out-is-a-file"])
     def test_bad_path_exits_1_with_one_line(self, tmp_path, capsys, case):
         cfg, out = tmp_path / "tiny.cfg", tmp_path / "run"
         cfg.write_text(TINY_CONFIG_TEXT)
-        if case == "config-not-utf8":
-            cfg.write_bytes(TINY_CONFIG_TEXT.encode() + b"# \xff\n")
+        bom = codecs.BOM_UTF8 if "bom" in case else b""
+        if case in ("config-not-utf8", "config-bom-not-utf8"):
+            cfg.write_bytes(bom + TINY_CONFIG_TEXT.encode() + b"# \xff\n")
             message = f"{cfg}: not UTF-8: 'utf-8' codec can't decode byte 0xff"
-        elif case == "csv-not-utf8":
+        elif case in ("csv-not-utf8", "csv-bom-not-utf8"):
             train, test = tmp_path / "train.csv", tmp_path / "test.csv"
-            train.write_bytes(b"text,label\nalpha beta,0\ngamma caf\xe9,1\n")
+            train.write_bytes(bom + b"text,label\nalpha beta,0\ngamma caf\xe9,1\n")
             test.write_text("text,label\nalpha,0\n")
             cfg.write_text(f"data.source = csv\ndata.csv_train = {train}\n"
                            f"data.csv_test = {test}\nmodel.epochs = 1\n")
@@ -915,7 +941,8 @@ class TestCompareRuns:
                                   {"w": np.arange(6.0).reshape(2, 3) * [1, 1, 2],
                                    "b": np.zeros(2)})
         assert load_script("compare_runs").main(runs) == 1
-        assert capsys.readouterr().out == "predictor.pwcp: 2 of 8 values differ: w 2/6\n"
+        assert capsys.readouterr().out == ("predictor.pwcp: 2 of 8 values differ: "
+                                           "w 2/6 (max |Δ| 5)\n")
 
 
 class TestServeDigest:

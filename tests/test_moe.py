@@ -171,28 +171,42 @@ class TestLoadBalance:
         assert abs(lb.item() - ref) <= 1e-12
 
 
+def pooling_of_classify(monkeypatch, rows, score, seg, n_segments) -> tuple:
+    """`classify` of a d = 2 model on these rows and pooling scores: the
+    pooling weights (n, 1) and pooled rows (n_segments, 2) it computes, read
+    from its segment softmax and layer norm calls."""
+    model = moe.MoEModel(tiny_config(d=2), RngStream(0, "m"))
+    weights = record_calls(monkeypatch, T, "segment_softmax")
+    normed = record_calls(monkeypatch, T, "layer_norm")
+    model.classify(Tensor(np.array(rows, dtype=float)), Tensor(np.array(score, dtype=float)),
+                   seg, n_segments)
+    [(_, alpha)], [((pooled, _, _), _)] = weights, normed
+    return alpha.data, pooled.data
+
+
 class TestAggregate:
-    def test_weighted_pooling_hand_case(self):
-        h = Tensor(np.array([[1.0, 0.0], [0.0, 1.0]]))
-        w = Tensor(np.array([[np.log(2.0)], [0.0]]))
+    """The softmax-weighted pooling that `classify` runs before its head."""
+
+    def test_weighted_pooling_hand_case(self, monkeypatch):
         # scores (ln2, 0) -> alpha (2/3, 1/3)
-        alpha, pooled = moe.aggregate(h, w, [0, 0], 1)
-        assert np.allclose(alpha.data.reshape(-1), [2 / 3, 1 / 3])
-        assert np.allclose(pooled.data, [[2 / 3, 1 / 3]])
+        alpha, pooled = pooling_of_classify(monkeypatch, [[1.0, 0.0], [0.0, 1.0]],
+                                            [[np.log(2.0)], [0.0]], [0, 0], 1)
+        assert np.allclose(alpha.reshape(-1), [2 / 3, 1 / 3])
+        assert np.allclose(pooled, [[2 / 3, 1 / 3]])
 
-    def test_restricted_active_set(self):
+    def test_restricted_active_set(self, monkeypatch):
         # only the pooled rows are passed; each segment pools its own rows
-        rows = Tensor(np.array([[1.0, 0.0], [5.0, 5.0], [0.0, 2.0]]))
-        alpha, pooled = moe.aggregate(rows, Tensor(np.zeros((2, 1))), [0, 1, 1], 2)
-        assert np.allclose(alpha.data, [[1.0], [0.5], [0.5]])
-        assert np.allclose(pooled.data, [[1.0, 0.0], [2.5, 3.5]])
+        alpha, pooled = pooling_of_classify(monkeypatch, [[1.0, 0.0], [5.0, 5.0], [0.0, 2.0]],
+                                            np.zeros((3, 1)), [0, 1, 1], 2)
+        assert np.allclose(alpha, [[1.0], [0.5], [0.5]])
+        assert np.allclose(pooled, [[1.0, 0.0], [2.5, 3.5]])
 
-    def test_empty_active_raises(self):
+    def test_empty_active_raises(self, tiny_model):
         with pytest.raises(ValueError, match="no tokens to aggregate"):
-            moe.aggregate(Tensor(np.zeros((0, 2))), Tensor(np.zeros((2, 1))), [], 1)
+            tiny_model.classify(Tensor(np.zeros((0, 4))), Tensor(np.zeros((0, 1))), [], 1)
         # a segment with no rows fails even when another has some
         with pytest.raises(ValueError, match="no tokens to aggregate"):
-            moe.aggregate(Tensor(np.zeros((1, 2))), Tensor(np.zeros((2, 1))), [1], 2)
+            tiny_model.classify(Tensor(np.zeros((1, 4))), Tensor(np.zeros((1, 1))), [1], 2)
 
 
 class TestForward:
@@ -202,9 +216,9 @@ class TestForward:
         a = tiny_model.forward(seq)
         b = tiny_model.forward(seq)
         assert np.array_equal(a.logits.data, b.logits.data)
-        (_, (h_a, z_a)), (_, (h_b, z_b)) = encoded
-        assert h_a.data.tobytes() == h_b.data.tobytes()
-        assert z_a.data.tobytes() == z_b.data.tobytes()
+        (_, first), (_, second) = encoded
+        for a, b in zip(first, second):
+            assert a.data.tobytes() == b.data.tobytes()
 
     def test_routed_rows_one_hot_in_eval(self, tiny_model, monkeypatch):
         # eval routes through the token table: one route_hard call over
@@ -223,8 +237,9 @@ class TestForward:
         pooled = record_calls(monkeypatch, tiny_model, "classify")
         got = tiny_model.forward(seq, active=rows)
         want = tiny_model.forward(seq, active=np.unique(np.arange(7)[rows]))
-        ((got_rows, got_seg, _), _), ((want_rows, want_seg, _), _) = pooled
+        ((got_rows, got_score, got_seg, _), _), ((want_rows, want_score, want_seg, _), _) = pooled
         assert np.array_equal(got_rows.data, want_rows.data)
+        assert np.array_equal(got_score.data, want_score.data)
         assert np.array_equal(got_seg, want_seg)
         assert np.array_equal(got.logits.data, want.logits.data)
 
@@ -255,17 +270,17 @@ class TestForward:
 
 
 def gather_elems(a: Tensor, rows, cols) -> Tensor:
-    """Pick a[rows[i], cols[i]] for each i; returns a 1-D tensor."""
+    """Pick a[rows[i], cols[i]] for each i; returns an (n, 1) column."""
     rows = np.asarray(rows, dtype=np.intp)
     cols = np.asarray(cols, dtype=np.intp)
 
     def backward(g):
         if a.requires_grad:
             acc = np.zeros_like(a.data)
-            np.add.at(acc, (rows, cols), g)
+            np.add.at(acc, (rows, cols), g[:, 0])
             a._accum_grad(acc)
 
-    return T._make(a.data[rows, cols], (a,), backward)
+    return T._make(a.data[rows, cols, None], (a,), backward)
 
 
 def scatter_rows(a: Tensor, idx, num_rows: int) -> Tensor:
@@ -291,7 +306,7 @@ def composed_route_hard(model, h, routed, assign):
         e = model.experts[j]
         x = T.gather_rows(h, idx)
         out = T.matmul(T.relu(T.matmul(x, e["w1"]) + e["b1"]), e["w2"]) + e["b2"]
-        gate = T.reshape(gather_elems(routed, idx, np.full(idx.shape, j)), (len(idx), 1))
+        gate = gather_elems(routed, idx, np.full(idx.shape, j))
         piece = scatter_rows(out * gate, idx, L)
         h_prime = piece if h_prime is None else h_prime + piece
     return h_prime
@@ -369,8 +384,8 @@ def fresh_copy(model) -> moe.MoEModel:
 
 
 def encoded_bytes(model, ids, mask) -> tuple:
-    h_prime, z = model.encode(ids, mask)
-    return h_prime.data.tobytes(), z.data.tobytes()
+    """The bytes of each of `encode`'s outputs: h_prime, z and score."""
+    return tuple(t.data.tobytes() for t in model.encode(ids, mask))
 
 
 class TestTokenTable:
@@ -381,8 +396,13 @@ class TestTokenTable:
         rng = np.random.default_rng(6)
         ids, mask, _, _ = moe.pack(random_split(rng, 120, vocab_size=40))
         with T.no_grad():
-            h_prime, z = model._route(ids, mask, None)
-        assert encoded_bytes(model, ids, mask) == (h_prime.data.tobytes(), z.data.tobytes())
+            h_prime, z, score = model._route(ids, mask, None)
+        h_table, z_table, score_table = model.encode(ids, mask)
+        assert h_table.data.tobytes() == h_prime.data.tobytes()
+        assert z_table.data.tobytes() == z.data.tobytes()
+        # the table's scores are one product over all its rows, whose last
+        # bits may depend on the row count: they match to rounding
+        assert np.allclose(score_table.data, score.data, rtol=1e-14, atol=0)
 
     @pytest.mark.parametrize("bad", [-1, 12, 10**6])
     def test_out_of_range_ids_raise(self, tiny_model, bad):
@@ -406,8 +426,8 @@ class TestTokenTable:
 
     def test_follows_each_replaced_array(self, tiny_model):
         ids, mask, _, _ = moe.pack(random_split(np.random.default_rng(8), 30))
-        read = ["embedding", "w_g", "b_g"] + [f"expert{j}.{k}" for j in range(3)
-                                              for k in ("w1", "b1", "w2", "b2")]
+        read = ["embedding", "w_g", "b_g", "agg_w"] + [f"expert{j}.{k}" for j in range(3)
+                                                       for k in ("w1", "b1", "w2", "b2")]
         for name in read:
             before = encoded_bytes(tiny_model, ids, mask)
             p = tiny_model.parameters()[name]
@@ -430,13 +450,12 @@ class TestTokenTable:
         order = data.draw(st.permutations(range(len(split))))
         size = data.draw(st.integers(1, len(split)))
         for examples, rows, _ in moe.batches(offsets, size, order):
-            h_batch, z_batch = model.encode(ids[rows], mask[rows])
+            batch = model.encode(ids[rows], mask[rows])
             starts = np.cumsum([0, *(offsets[examples + 1] - offsets[examples])])
             for e, lo, hi in zip(examples, starts[:-1], starts[1:]):
                 own = slice(offsets[e], offsets[e + 1])
-                h_one, z_one = model.encode(ids[own], mask[own])
-                assert h_one.data.tobytes() == h_batch.data[lo:hi].tobytes()
-                assert z_one.data.tobytes() == z_batch.data[lo:hi].tobytes()
+                for one, packed in zip(model.encode(ids[own], mask[own]), batch):
+                    assert one.data.tobytes() == packed.data[lo:hi].tobytes()
 
 
 class TestPack:
@@ -510,7 +529,7 @@ class TestBatchForward:
         batch = [(seq_a, 0), (seq_b, 0)]
         actives = [np.array([True, False]), np.array([True, True, True])]
         ids, mask, seg, _ = moe.pack(batch)
-        h_prime, _ = tiny_model.encode(ids[:2], mask[:2])
+        h_prime, _, _ = tiny_model.encode(ids[:2], mask[:2])
         score = (h_prime.data[0] @ tiny_model.agg_w.data).item()
         tiny_model.agg_w.data = tiny_model.agg_w.data * (-1000.0 / score)
         assert (h_prime.data[0] @ tiny_model.agg_w.data).item() == pytest.approx(-1000.0)
@@ -527,6 +546,41 @@ class TestBatchForward:
         per_example = np.mean([int(s.logits.data.argmax()) == lb
                                for s, lb in zip(singles, labels)])
         assert moe.MaskScorer(tiny_model, data).accuracy(np.concatenate(actives)) == per_example
+
+
+class TestBatchInvariance:
+    @settings(max_examples=40, deadline=None)
+    @given(st.data())
+    def test_batches_of_a_partition_score_as_the_whole_split(self, data):
+        """Any partition of a split into batches: each batch's distillation
+        targets equal its rows of the whole split's, and each batch of two or
+        more examples has the logits of its rows of the whole split, bit for
+        bit. The head's product is not batch-invariant yet: one example alone
+        takes numpy's matrix-vector path, and OpenBLAS gives a head of 2 or 3
+        classes row bits that depend on the row's position. So the model has
+        the 4 classes of the benchmark corpus."""
+        from pwcmoe import predictor
+        seed = data.draw(st.integers(0, 2**16))
+        cfg = tiny_config(vocab_size=30, num_classes=4, d=16, expert_hidden=16)
+        model = moe.MoEModel(cfg, RngStream(seed, "m"))
+        split = random_split(np.random.default_rng(seed), data.draw(st.integers(2, 40)),
+                             vocab_size=30)
+        order = data.draw(st.permutations(range(len(split))))
+        cuts = data.draw(st.lists(st.booleans(), min_size=len(split) - 1,
+                                  max_size=len(split) - 1))
+        ids, mask, seg, offsets = moe.pack(split)
+        alpha = predictor.collect_dataset(model, split)[2]
+        logits = model.forward_batch(ids, mask, seg).logits.data
+        bounds = [0, *(i + 1 for i, cut in enumerate(cuts) if cut), len(split)]
+        for lo, hi in zip(bounds[:-1], bounds[1:]):
+            examples = np.asarray(order[lo:hi])
+            batch = [split[e] for e in examples]
+            want = np.concatenate([alpha[offsets[e]:offsets[e + 1]] for e in examples])
+            assert predictor.collect_dataset(model, batch)[2].tobytes() == want.tobytes()
+            if examples.size >= 2:
+                batch_ids, batch_mask, batch_seg, _ = moe.pack(batch)
+                got = model.forward_batch(batch_ids, batch_mask, batch_seg).logits.data
+                assert got.tobytes() == logits[examples].tobytes()
 
 
 class TestEvaluate:

@@ -287,31 +287,31 @@ class TestLayerNorm:
 
 
 def cross_entropy_one(logits, label):
-    """cross_entropy_batch on a single (1, C) row, as a scalar."""
-    return T.tsum(T.cross_entropy_batch(T.reshape(logits, (1, -1)), [label]))
+    """cross_entropy_batch on a single (1, C) row of logits, as a scalar."""
+    return T.tsum(T.cross_entropy_batch(logits, [label]))
 
 
 class TestCrossEntropy:
     def test_uniform_logits(self):
-        assert cross_entropy_one(Tensor([0.0, 0.0]), 0).item() == pytest.approx(math.log(2))
+        assert cross_entropy_one(Tensor([[0.0, 0.0]]), 0).item() == pytest.approx(math.log(2))
 
     def test_confident_correct(self):
-        val = cross_entropy_one(Tensor([10.0, -10.0]), 0).item()
+        val = cross_entropy_one(Tensor([[10.0, -10.0]]), 0).item()
         assert val == pytest.approx(math.log(1 + math.exp(-20.0)), rel=1e-9)
         assert val == pytest.approx(2.06e-9, rel=0.01)
 
     def test_label_out_of_range(self):
         with pytest.raises(IndexError):
-            cross_entropy_one(Tensor([0.0, 0.0]), 2)
+            cross_entropy_one(Tensor([[0.0, 0.0]]), 2)
         with pytest.raises(IndexError):
-            cross_entropy_one(Tensor([0.0, 0.0]), -1)
+            cross_entropy_one(Tensor([[0.0, 0.0]]), -1)
 
     def test_nonnegative(self):
         for seed in range(5):
-            assert cross_entropy_one(Tensor(rand((4,), seed)), seed % 4).item() >= 0.0
+            assert cross_entropy_one(Tensor(rand((1, 4), seed)), seed % 4).item() >= 0.0
 
     def test_gradient(self, fd_check):
-        x = Tensor(rand((4,), 10), requires_grad=True)
+        x = Tensor(rand((1, 4), 10), requires_grad=True)
         fd_check(lambda: cross_entropy_one(x, 2), {"x": x})
 
 
