@@ -8,6 +8,7 @@ sweeps are reproducible and parallelizable with per-lane streams.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -32,6 +33,11 @@ class ChannelParams:
             raise ValueError("carrier frequency must be > 0 and distance >= 1 m")
         if self.bandwidth_hz <= 0 or self.t_ul_s <= 0 or self.bits_per_token <= 0:
             raise ValueError("bandwidth, uplink time, and bits per token must be positive")
+        # `token_budget` divides a float64 rate by it
+        if self.bits_per_token > sys.float_info.max:
+            raise ValueError(f"bits per token (channel.bits_per_token, or model.d * "
+                             f"channel.bits_per_value when it is 0) is about "
+                             f"1e{math.log10(self.bits_per_token):.0f}, above the float64 range")
         if self.shadowing_std_db < 0:
             raise ValueError("shadowing std must be nonnegative")
         # a +-10 sigma draw then keeps 10**(xi/10) a finite, nonzero float64

@@ -102,7 +102,7 @@ def load_container(path: str, magic: bytes):
         return config, arrays
 
 
-_CASTS = {"int": int, "float": float, "bool": lambda s: s == "True"}
+_CASTS = {"int": int, "float": float}
 
 
 def save_params(path: str, magic: bytes, model):

@@ -55,50 +55,12 @@ class MoEConfig:
             raise ValueError("lambda_lb must be nonnegative")
 
 
-# -- gating primitives (also used standalone in tests) ---------------------
-
-def gate_logits(h: Tensor, w_g: Tensor, b_g: Tensor) -> Tensor:
-    """Per-token gating logits: rows are W_g h_i + b_g."""
-    return T.matmul(h, w_g) + b_g
-
-
 def privacy_isolation_mask(mask, num_experts: int, k_p: int) -> np.ndarray:
     """Boolean (L, K) matrix of inadmissible (token, expert) pairs: a
     sensitive token (mask 1) may not reach expert k_p or above, and a
     non-sensitive one (mask 0) no expert below k_p."""
     sensitive = np.asarray(mask).reshape(-1, 1) == 1
     return sensitive != (np.arange(num_experts) < k_p)
-
-
-def apply_privacy_isolation(g: Tensor, mask, k_p: int) -> Tensor:
-    """Forbid cross-group routing by pushing inadmissible logits to -inf
-    (finite sentinel; downstream softmax yields exactly zero mass there)."""
-    K = g.shape[1]
-    if k_p >= K:
-        raise ValueError(f"privacy expert count {k_p} must be < total {K}")
-    return T.masked_fill(g, privacy_isolation_mask(mask, K, k_p), T.NEG_INF)
-
-
-def gumbel_softmax(g_prime: Tensor, tau: float, gamma: Optional[np.ndarray]) -> Tensor:
-    """Soft expert-selection probabilities with Gumbel noise added to the
-    admissible logits (none when `gamma` is None). Sentinel entries stay
-    exactly zero."""
-    noisy = g_prime if gamma is None else g_prime + Tensor(gamma)
-    try:
-        return T.softmax(noisy, temperature=tau, axis=-1)
-    except ValueError as exc:
-        raise ValueError("no admissible expert") from exc
-
-
-def hard_select(z: Tensor, g_prime: Tensor, gamma: Optional[np.ndarray]):
-    """One-hot selection by argmax of noisy logits (none when `gamma` is
-    None), with a straight-through backward pass: gradients flow as if the
-    output were z."""
-    noisy = g_prime.data if gamma is None else g_prime.data + gamma
-    assign = noisy.argmax(axis=1)
-    one_hot = np.zeros_like(z.data)
-    one_hot[np.arange(len(assign)), assign] = 1.0
-    return T.straight_through(z, one_hot), assign
 
 
 @dataclass
@@ -154,22 +116,24 @@ class MoEModel(T.Module):
 
     # -- forward ----------------------------------------------------------
 
-    def route_hard(self, h: Tensor, routed: Tensor, assign: np.ndarray) -> Tensor:
-        """Sparse dispatch: each expert runs only on its assigned tokens,
-        scaled by the straight-through gate value."""
-        return T.expert_dispatch(h, routed, assign, self.experts)
-
     def _route(self, ids, mask, gamma: Optional[np.ndarray]) -> tuple:
-        """Embedding, privacy-isolated gate, Gumbel softmax (noise `gamma`,
-        none when None), hard select and expert dispatch of the tokens, and
-        each token's pooling score: (h_prime (N, d), z (N, K), score (N, 1))."""
+        """Embedding, privacy-isolated top-1 gate and expert dispatch of the
+        tokens, and each token's pooling score: (h_prime (N, d), z (N, K),
+        score (N, 1)). The gate logits plus Gumbel noise `gamma` (none when
+        None) give z, their softmax at temperature tau with the inadmissible
+        pairs at exactly 0, and each token's expert, their argmax over its
+        admissible experts. The dispatch scales each output row by the
+        one-hot choice, with z's gradient (straight-through)."""
         c = self.config
         h = T.gather_rows(self.embedding, ids)
-        g = gate_logits(h, self.w_g, self.b_g)
-        g_prime = apply_privacy_isolation(g, mask, c.num_privacy_experts)
-        z = gumbel_softmax(g_prime, c.tau, gamma)
-        routed, assign = hard_select(z, g_prime, gamma)
-        h_prime = self.route_hard(h, routed, assign)
+        g = T.matmul(h, self.w_g) + self.b_g
+        if gamma is not None:
+            g = g + Tensor(gamma)
+        exclude = privacy_isolation_mask(mask, c.num_experts, c.num_privacy_experts)
+        z = T.softmax(g, c.tau, exclude)
+        assign = np.where(exclude, -np.inf, g.data).argmax(axis=1)
+        routed = T.straight_through(z, np.eye(c.num_experts)[assign])
+        h_prime = T.expert_dispatch(h, routed, assign, self.experts)
         return h_prime, z, T.matmul(h_prime, self.agg_w)
 
     def _token_table(self) -> tuple:
@@ -295,15 +259,12 @@ def batch_load_balance(z: Tensor, mask: np.ndarray, seg: np.ndarray,
     deviation of mean expert usage from uniform, computed separately over each
     example's sensitive and non-sensitive tokens. Empty groups contribute zero."""
     K = z.shape[1]
-    privacy = np.arange(K) < k_p  # the expert columns of the privacy group
-    sensitive = np.asarray(mask) == 1
+    admit = ~privacy_isolation_mask(mask, K, k_p)  # (N, K): each token's group's columns
     # (n_examples, K): the example's token count in the group owning the column
-    counts = np.where(privacy, np.bincount(seg[sensitive], minlength=n_examples)[:, None],
-                      np.bincount(seg[~sensitive], minlength=n_examples)[:, None])
+    counts = T.segment_sum(Tensor(admit), seg, n_examples).data
     # each token weighs 1 / its group's size on its group's columns, 0 elsewhere
-    weight = (sensitive[:, None] == privacy) / np.maximum(counts, 1)[seg]
-    usage = T.segment_sum(z * weight, seg, n_examples)
-    dev = usage - np.where(privacy, 1.0 / k_p, 1.0 / (K - k_p))
+    usage = T.segment_sum(z * (admit / np.maximum(counts, 1)[seg]), seg, n_examples)
+    dev = usage - np.where(np.arange(K) < k_p, 1.0 / k_p, 1.0 / (K - k_p))
     return T.tsum(dev * dev * (counts > 0)) * (1.0 / n_examples)
 
 

@@ -16,11 +16,6 @@ import math
 
 import numpy as np
 
-# Finite stand-in for -inf inside logits: keeps arithmetic NaN-free while
-# guaranteeing exact-zero softmax mass (see softmax()).
-NEG_INF = -1e9
-_MASK_THRESHOLD = -5e8
-
 _grad_enabled = True
 
 
@@ -228,18 +223,6 @@ def gather_rows(a: Tensor, idx) -> Tensor:
     return _make(a.data[idx], (a,), backward)
 
 
-def masked_fill(a: Tensor, mask: np.ndarray, value: float) -> Tensor:
-    """Replace entries where mask is True by a constant; no grad there."""
-    mask = np.asarray(mask, dtype=bool)
-    data = np.where(mask, value, a.data)
-
-    def backward(g):
-        if a.requires_grad:
-            a._accum_grad(np.where(mask, 0.0, g))
-
-    return _make(data, (a,), backward)
-
-
 def straight_through(soft: Tensor, hard_values: np.ndarray) -> Tensor:
     """Forward takes the hard values, backward is the identity onto `soft`.
 
@@ -260,28 +243,26 @@ def straight_through(soft: Tensor, hard_values: np.ndarray) -> Tensor:
 
 # -- fused ops -------------------------------------------------------------
 
-def softmax(a: Tensor, temperature: float = 1.0, axis: int = -1) -> Tensor:
-    """Numerically stable softmax with sentinel-masking support.
+def softmax(a: Tensor, temperature: float = 1.0, exclude=False) -> Tensor:
+    """Numerically stable softmax over the last axis at `temperature`.
 
-    Entries at or below the NEG_INF sentinel are treated as excluded: their
-    output is exactly 0 and no gradient flows into them. A fully excluded
-    slice is a contract violation.
+    Entries where the boolean `exclude` (broadcast to the shape of `a`) is
+    True are left out: their output is exactly 0 and no gradient flows into
+    them. A row with every entry excluded is a contract violation.
     """
     if temperature <= 0:
         raise ValueError(f"temperature must be positive, got {temperature}")
-    x = a.data
-    masked = x <= _MASK_THRESHOLD
-    if np.any(masked.all(axis=axis)):
-        raise ValueError("no admissible component: softmax input fully masked")
-    safe = np.where(masked, -np.inf, x / temperature)
-    m = safe.max(axis=axis, keepdims=True)
-    e = np.exp(safe - m)  # exactly 0 where masked
-    z = e / e.sum(axis=axis, keepdims=True)
+    exclude = np.broadcast_to(np.asarray(exclude, dtype=bool), a.data.shape)
+    if exclude.all(axis=-1).any():
+        raise ValueError("no admissible component: every entry of a softmax row is excluded")
+    safe = np.where(exclude, -np.inf, a.data / temperature)
+    e = np.exp(safe - safe.max(axis=-1, keepdims=True))  # exactly 0 where excluded
+    z = e / e.sum(axis=-1, keepdims=True)
 
     def backward(g):
         if a.requires_grad:
-            inner = (g * z).sum(axis=axis, keepdims=True)
-            a._accum_grad((z * (g - inner)) / temperature)
+            inner = (g * z).sum(axis=-1, keepdims=True)
+            a._accum_grad(np.where(exclude, 0.0, (z * (g - inner)) / temperature))
 
     return _make(z, (a,), backward)
 

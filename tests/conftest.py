@@ -81,9 +81,9 @@ def soft_loss(model, pairs):
     c = model.config
     ids, mask, seg, _ = moe.pack(pairs)
     h = T.gather_rows(model.embedding, ids)
-    g = moe.gate_logits(h, model.w_g, model.b_g)
-    g_prime = moe.apply_privacy_isolation(g, mask, c.num_privacy_experts)
-    z = moe.gumbel_softmax(g_prime, c.tau, None)
+    g = T.matmul(h, model.w_g) + model.b_g
+    z = T.softmax(g, c.tau, moe.privacy_isolation_mask(mask, c.num_experts,
+                                                        c.num_privacy_experts))
     h_prime = functools.reduce(T.add, [
         T.expert_dispatch(h, z, np.full(ids.size, j), model.experts)
         for j in range(c.num_experts)])

@@ -17,8 +17,9 @@ from pwcmoe.corpus import TokenSequence
 from pwcmoe.rng import RngStream
 from pwcmoe.tensor import Tensor
 
-from conftest import (finite_difference_check, group_usage_ratio, reference_random_means,
-                      reference_topk_accuracy, soft_expert_usage, soft_loss)
+from conftest import (finite_difference_check, group_usage_ratio, record_calls,
+                      reference_random_means, reference_topk_accuracy, soft_expert_usage,
+                      soft_loss)
 
 SEED = 0
 
@@ -114,7 +115,7 @@ def test_criterion_01_gradient_integrity():
 
 # -- 2. privacy isolation --------------------------------------------------
 
-def test_criterion_02_privacy_isolation():
+def test_criterion_02_privacy_isolation(monkeypatch):
     cfg = moe.MoEConfig(vocab_size=50, num_classes=4, d=32, num_experts=8,
                         num_privacy_experts=2, expert_hidden=64)
     model = moe.MoEModel(cfg, RngStream(3, "isolation"))
@@ -124,13 +125,11 @@ def test_criterion_02_privacy_isolation():
     ids = rng.integers(0, 50, int(lengths.sum()))
     mask = (rng.uniform(int(lengths.sum())) < 0.5).astype(int)
 
+    # the program's own noisy (training) routing, as the dispatch receives it
+    dispatched = record_calls(monkeypatch, T, "expert_dispatch")
     with T.no_grad():
-        h = T.gather_rows(model.embedding, ids)
-        g = moe.gate_logits(h, model.w_g, model.b_g)
-        g_prime = moe.apply_privacy_isolation(g, mask, cfg.num_privacy_experts)
-        gamma = rng.gumbel((len(ids), cfg.num_experts))
-        z = moe.gumbel_softmax(g_prime, cfg.tau, gamma)
-        routed, assign = moe.hard_select(z, g_prime, gamma)
+        _, z, _ = model.encode(ids, mask, rng)
+    [((_, routed, assign, _), _)] = dispatched
 
     k_p = cfg.num_privacy_experts
     sens = mask == 1

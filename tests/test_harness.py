@@ -1,7 +1,9 @@
 import codecs
 import collections
+import contextlib
 import dataclasses
 import importlib.util
+import io
 import itertools
 import os
 import shutil
@@ -10,10 +12,11 @@ import types
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from pwcmoe import channel, checkpoint, cli, config, corpus, harness, moe, scheduler
+from pwcmoe import tensor as T
 from pwcmoe.corpus import TokenSequence
 from pwcmoe.predictor import ImportancePredictor
 from pwcmoe.rng import RngStream
@@ -258,12 +261,12 @@ class TestCollaborativeForward:
                 np.zeros(seq.length), seq.mask, budget=0))
 
     def test_routes_once_per_parameter_version(self, trained, monkeypatch):
-        """A loaded model runs `route_hard` once, for its token table, over
-        two sweep scorers and 1,001 requests; a replaced parameter array
+        """A loaded model runs the expert dispatch once, for its token table,
+        over two sweep scorers and 1,001 requests; a replaced parameter array
         costs one more call."""
         spec, out, bundle, _, predictor = trained
         model = moe.load_model(os.path.join(out, spec.model.checkpoint))
-        routing = record_calls(monkeypatch, model, "route_hard")
+        routing = record_calls(monkeypatch, T, "expert_dispatch")
         for _ in range(2):
             harness.MaskScorer(model, bundle.test)
         served = []
@@ -867,6 +870,11 @@ class TestCli:
         ("channel.tx_power_dbm = 1e300", "transmit power 1e+300 dBm or noise density"),
         ("channel.noise_psd_dbm_hz = 1e300", "noise density 1e+300 dBm/Hz overflows in mW"),
         ("channel.shadowing_std_db = 1e300", "channel.shadowing_std_db 1e+300 dB exceeds 300 dB"),
+        pytest.param(f"channel.bits_per_token = 1{'0' * 400}",
+                     "channel.bits_per_token, or model.d * channel.bits_per_value when it is 0) "
+                     "is about 1e400, above the float64 range", id="oversized-bits-per-token"),
+        pytest.param(f"model.d = 1{'0' * 400}", "is about 1e401, above the float64 range",
+                     id="oversized-bits-per-token-from-d"),
     ])
     def test_bad_channel_value_exits_1_with_one_line(self, tmp_path, capsys, mode, line,
                                                      message):
@@ -880,6 +888,23 @@ class TestCli:
             err = capsys.readouterr().err
             assert err.startswith("error: ") and message in err
             assert err.count("\n") == 1
+
+    def test_constant_gate_shift_leaves_eval_unchanged(self, tmp_path, capsys):
+        # every gate bias at -6e8, a finite float32: each token's logits move
+        # together, so routing and accuracy stay as trained
+        cfg = tmp_path / "tiny.cfg"
+        cfg.write_text(TINY_CONFIG_TEXT)
+        out = str(tmp_path / "run")
+        assert cli.run(["train", "--config", str(cfg), "--out", out]) == 0
+        capsys.readouterr()
+        assert cli.run(["eval", "--config", str(cfg), "--out", out]) == 0
+        trained = capsys.readouterr().out
+        path = os.path.join(out, "model.pwcm")
+        config, arrays = checkpoint.load_container(path, checkpoint.MAGIC_MODEL)
+        arrays["b_g"] = np.full(arrays["b_g"].shape, -6e8)
+        checkpoint.save_container(path, checkpoint.MAGIC_MODEL, config, arrays)
+        assert cli.run(["eval", "--config", str(cfg), "--out", out]) == 0
+        assert capsys.readouterr().out == trained and trained.startswith("test_accuracy = ")
 
     def test_pipeline_script_matches_staged_cli(self, tmp_path, capsys):
         cfg = os.path.join(ROOT, "configs", "tiny.cfg")
@@ -899,6 +924,46 @@ class TestCli:
         import argparse
         args = argparse.Namespace(config=str(cfg), seed=11)
         assert cli._spec(args).seed == 11
+
+
+CONFIG_KEYS = ["seed"] + [f"{f.name}.{g.name}"
+                          for f in dataclasses.fields(config.ExperimentSpec) if f.name != "seed"
+                          for g in dataclasses.fields(f.default_factory())]
+ODD_VALUES = st.one_of(
+    st.text(max_size=12),
+    st.integers(10**399, 10**400).map(str),
+    st.sampled_from(["1e308", "-1e308", "nan", "inf", "-inf", "1e999", "0", "-1", "1.5",
+                     "true", "", "csv", "1,2,3", "1e308,1e308", "nan,1", "0,-1"]),
+    st.lists(st.one_of(st.integers(-10**30, 10**30).map(str),
+                       st.floats(allow_nan=True, allow_infinity=True).map(repr)),
+             max_size=4).map(",".join),
+)
+
+
+@pytest.fixture(scope="module")
+def fuzz_config(tmp_path_factory) -> str:
+    return str(tmp_path_factory.mktemp("fuzz") / "fuzz.cfg")
+
+
+class TestConfigFuzz:
+    @settings(max_examples=200, deadline=None, derandomize=True)
+    @given(lines=st.lists(st.tuples(st.sampled_from(CONFIG_KEYS), ODD_VALUES), max_size=4),
+           stray=st.binary(max_size=4), at=st.integers(0, 10**6))
+    @example(lines=[("channel.bits_per_token", f"1{'0' * 400}")], stray=b"", at=0)
+    def test_channel_probe_exits_0_or_1_with_one_line(self, fuzz_config, lines, stray, at):
+        """Up to four `key = value` lines with odd values, and a few stray
+        bytes put in anywhere: `channel-probe` succeeds, or exits 1 with a
+        single `error: ` line, never with a traceback."""
+        text = "".join(f"{k} = {v}\n" for k, v in lines).encode("utf-8", "surrogatepass")
+        at %= len(text) + 1
+        with open(fuzz_config, "wb") as fh:
+            fh.write(text[:at] + stray + text[at:])
+        err = io.StringIO()
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+            rc = cli.run(["channel-probe", "--config", fuzz_config])
+        if rc:
+            assert rc == 1 and err.getvalue().startswith("error: "), err.getvalue()
+            assert err.getvalue().count("\n") == 1, err.getvalue()
 
 
 class TestCompareRuns:

@@ -69,21 +69,10 @@ class TestPrivacyIsolation:
         assert got.dtype == bool and np.array_equal(got, want)
 
     def test_masked_probability_exactly_zero(self):
-        g = Tensor(np.zeros((2, 4)))
-        g_prime = moe.apply_privacy_isolation(g, [1, 0], k_p=2)
-        z = moe.gumbel_softmax(g_prime, 1.0, np.zeros((2, 4)))
+        z = T.softmax(Tensor(np.zeros((2, 4))), 1.0, moe.privacy_isolation_mask([1, 0], 4, 2))
         assert np.array_equal(z.data[0, 2:], [0.0, 0.0])
         assert np.array_equal(z.data[1, :2], [0.0, 0.0])
         assert np.allclose(z.data.sum(axis=1), 1.0)
-
-    def test_no_admissible_expert(self):
-        g_prime = Tensor(np.full((1, 3), T.NEG_INF))
-        with pytest.raises(ValueError, match="no admissible expert"):
-            moe.gumbel_softmax(g_prime, 1.0, np.zeros((1, 3)))
-
-    def test_k_p_must_be_smaller_than_total(self):
-        with pytest.raises(ValueError):
-            moe.apply_privacy_isolation(Tensor(np.zeros((1, 3))), [0], k_p=3)
 
     @given(st.lists(st.integers(0, 1), min_size=1, max_size=8))
     @settings(max_examples=50, deadline=None)
@@ -93,9 +82,9 @@ class TestPrivacyIsolation:
         seq = make_seq(rng.integers(0, 12, len(mask)), mask)
         ids, mask_arr, seg, _ = moe.pack([(seq, 0)])
         with pytest.MonkeyPatch.context() as mp:
-            routing = record_calls(mp, model, "route_hard")
+            routing = record_calls(mp, T, "expert_dispatch")
             res = model.forward_batch(ids, mask_arr, seg, rng=RngStream(2, "g"))
-        [((_, _, assign), _)] = routing
+        [((_, _, assign, _), _)] = routing
         k_p = model.config.num_privacy_experts
         for i, m in enumerate(mask):
             if m == 1:
@@ -221,11 +210,11 @@ class TestForward:
             assert a.data.tobytes() == b.data.tobytes()
 
     def test_routed_rows_one_hot_in_eval(self, tiny_model, monkeypatch):
-        # eval routes through the token table: one route_hard call over
-        # every (id, flag) pair
-        routing = record_calls(monkeypatch, tiny_model, "route_hard")
+        # eval routes through the token table: one dispatch over every
+        # (id, flag) pair
+        routing = record_calls(monkeypatch, T, "expert_dispatch")
         tiny_model.forward(make_seq([2, 3, 4], [1, 0, 0]))
-        [((_, routed, _), _)] = routing
+        [((_, routed, _, _), _)] = routing
         rows = 2 * tiny_model.config.vocab_size
         assert np.array_equal(routed.data.sum(axis=1), np.ones(rows))
         assert set(np.unique(routed.data)) <= {0.0, 1.0}
@@ -296,14 +285,14 @@ def scatter_rows(a: Tensor, idx, num_rows: int) -> Tensor:
     return T._make(data, (a,), backward)
 
 
-def composed_route_hard(model, h, routed, assign):
+def composed_dispatch(h, routed, assign, experts):
     """Expert dispatch built from single autodiff ops, one gather, MLP,
     gate and scatter per expert: the reference for `T.expert_dispatch`."""
     L = h.shape[0]
     h_prime = None
     for j in np.unique(assign):
         idx = np.flatnonzero(assign == j)
-        e = model.experts[j]
+        e = experts[j]
         x = T.gather_rows(h, idx)
         out = T.matmul(T.relu(T.matmul(x, e["w1"]) + e["b1"]), e["w2"]) + e["b2"]
         gate = gather_elems(routed, idx, np.full(idx.shape, j))
@@ -324,7 +313,7 @@ def graph_nodes(t: Tensor) -> int:
 
 
 class TestExpertDispatch:
-    def test_train_batch_bitwise_equals_composed_graph(self, monkeypatch):
+    def test_train_batch_bitwise_equals_composed_graph(self):
         rng = np.random.default_rng(9)
         cfg = tiny_config(num_experts=5, num_privacy_experts=2, d=6, expert_hidden=7)
         batch = []
@@ -333,14 +322,13 @@ class TestExpertDispatch:
             batch.append((make_seq(rng.integers(0, 12, L), rng.integers(0, 2, L)),
                           int(rng.integers(0, 3))))
         runs = []
-        for route in (None, composed_route_hard):
+        for dispatch in (T.expert_dispatch, composed_dispatch):
             model = moe.MoEModel(cfg, RngStream(4, "m"))
-            if route is not None:
-                monkeypatch.setattr(model, "route_hard",
-                                    lambda *a, **kw: route(model, *a, **kw))
-            routing = record_calls(monkeypatch, model, "route_hard")
-            heads = record_calls(monkeypatch, model, "classify")
-            loss = pair_loss(model, batch, RngStream(5, "g"))
+            with pytest.MonkeyPatch.context() as mp:
+                mp.setattr(T, "expert_dispatch", dispatch)
+                routing = record_calls(mp, T, "expert_dispatch")
+                heads = record_calls(mp, model, "classify")
+                loss = pair_loss(model, batch, RngStream(5, "g"))
             T.backward(loss)
             grads = {k: p.grad for k, p in model.parameters().items()}
             [(_, h_prime)], [(_, logits)] = routing, heads
@@ -355,12 +343,13 @@ class TestExpertDispatch:
             else:
                 assert g.tobytes() == ref_grads[k].tobytes(), k
 
-    def test_route_hard_adds_one_node(self, tiny_model):
+    def test_dispatch_adds_one_node(self, tiny_model):
         h = Tensor(np.random.default_rng(0).normal(size=(5, 4)), requires_grad=True)
         routed = Tensor(np.ones((5, 3)), requires_grad=True)
-        out = tiny_model.route_hard(h, routed, np.array([0, 1, 2, 1, 0]))
+        assign = np.array([0, 1, 2, 1, 0])
+        out = T.expert_dispatch(h, routed, assign, tiny_model.experts)
         assert graph_nodes(out) == 1
-        ref = composed_route_hard(tiny_model, h, routed, np.array([0, 1, 2, 1, 0]))
+        ref = composed_dispatch(h, routed, assign, tiny_model.experts)
         assert graph_nodes(ref) > 20
 
 

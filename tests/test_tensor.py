@@ -47,13 +47,25 @@ class TestSoftmax:
         assert np.allclose(out.data, [2 / 3, 1 / 3])
 
     def test_masked_component_exactly_zero(self):
-        out = T.softmax(Tensor([5.0, T.NEG_INF]), temperature=1.0)
-        assert out.data[0] == 1.0
-        assert out.data[1] == 0.0
+        # excluded whatever its logit: a large one as well as a small one
+        for x in ([5.0, 1e300], [5.0, -6e8]):
+            out = T.softmax(Tensor(x), temperature=1.0, exclude=[False, True])
+            assert out.data.tolist() == [1.0, 0.0]
 
     def test_all_masked_raises(self):
-        with pytest.raises(ValueError, match="no admissible component"):
-            T.softmax(Tensor([T.NEG_INF, T.NEG_INF]))
+        # one fully excluded row fails the whole call, even with finite logits
+        exclude = np.array([[False, True], [True, True]])
+        with pytest.raises(ValueError, match="every entry of a softmax row is excluded"):
+            T.softmax(Tensor(np.zeros((2, 2))), 1.0, exclude)
+
+    def test_excluded_entries_get_no_gradient(self, fd_check):
+        x = Tensor(rand((3, 4), 5), requires_grad=True)
+        w = rand((3, 4), 6)
+        exclude = np.array([[False, True, False, True], [True, False, False, False],
+                            [False, False, False, True]])
+        # an excluded entry moves nothing, so its central difference is 0
+        fd_check(lambda: T.tsum(T.softmax(x, 0.7, exclude) * w), {"x": x})
+        assert np.all(x.grad[exclude] == 0.0) and np.all(x.grad[~exclude] != 0.0)
 
     def test_nonpositive_temperature_rejected(self):
         with pytest.raises(ValueError):
@@ -372,12 +384,6 @@ class TestIndexing:
     def test_gather_out_of_range(self):
         with pytest.raises(IndexError):
             T.gather_rows(Tensor(np.zeros((3, 2))), [5])
-
-    def test_masked_fill_blocks_gradient(self):
-        x = Tensor([1.0, 2.0], requires_grad=True)
-        out = T.masked_fill(x, np.array([False, True]), T.NEG_INF)
-        T.backward(T.tsum(out * np.array([1.0, 1.0])))
-        assert np.allclose(x.grad, [1.0, 0.0])
 
 
 class TestRngStream:
